@@ -32,7 +32,7 @@ from .combinatorics import (
     stirling2_bruteforce,
     stirling2_row,
 )
-from .exact_arith import Rational, beta_integer, binomial, factorial, rational
+from .exact_arith import beta_integer, binomial
 from .polylog import (
     Polynomial,
     RationalFunction,
@@ -65,7 +65,6 @@ __all__ = [
     "MAX_IDENTITY_SUM",
     "Polynomial",
     "QuadratureReport",
-    "Rational",
     "RationalFunction",
     "Recurrence",
     "Split",
@@ -80,14 +79,12 @@ __all__ = [
     "beta_quadrature_check",
     "binomial",
     "expected_integral_value",
-    "factorial",
     "gauss_legendre",
     "integrand",
     "integrate_halfline",
     "polylog_neg_rf",
     "polylog_oracle",
     "polylog_stirling_form",
-    "rational",
     "rf_compose_reciprocal",
     "rf_eval_exact",
     "rf_eval_float",

@@ -30,7 +30,6 @@ from .bernoulli import (
     bernoulli_stirling_sum,
 )
 from .combinatorics import stirling2, stirling2_row
-from .exact_arith import rational
 from .polylog import polylog_neg_rf, rf_eval_exact
 from .quadrature import (
     DEFAULT_NODES,
@@ -138,7 +137,7 @@ def oeis_check(
             raise ValueError(f"numerator file does not cover index {n}")
         if n not in dens:
             raise ValueError(f"denominator file does not cover index {n}")
-        file_value = rational(nums[n], dens[n])
+        file_value = Fraction(nums[n], dens[n])
         rec = bernoulli_recurrence(n)
         spl = bernoulli_split(n // 2, n - n // 2)
         rows.append(OeisRow(n, file_value, rec, spl, file_value == rec and file_value == spl))

@@ -1,5 +1,5 @@
-"""Exact rational arithmetic helpers: canonical fractions, factorials,
-binomials, and Beta values at integer arguments.
+"""Exact arithmetic helpers: binomials with a zero convention and Beta
+values at integer arguments.
 
 Everything here is arbitrary precision and nothing ever rounds.
 """
@@ -9,27 +9,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-__all__ = ["Rational", "rational", "factorial", "binomial", "beta_integer"]
-
-# fractions.Fraction already enforces the canonical-form invariants we
-# rely on everywhere (gcd-reduced, denominator > 0, zero stored as 0/1),
-# so it is the Rational type of this package.
-Rational = Fraction
-
-
-def rational(num: int, den: int = 1) -> Rational:
-    """Canonical reduced fraction num/den.
-
-    Raises ZeroDivisionError for den == 0.
-    """
-    return Fraction(num, den)
-
-
-def factorial(n: int) -> int:
-    """Exact n! for n >= 0."""
-    if n < 0:
-        raise ValueError(f"factorial requires n >= 0, got {n}")
-    return math.factorial(n)
+__all__ = ["binomial", "beta_integer"]
 
 
 def binomial(n: int, k: int) -> int:
@@ -45,7 +25,7 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def beta_integer(a: int, b: int) -> Rational:
+def beta_integer(a: int, b: int) -> Fraction:
     """Beta(a, b) = (a-1)! (b-1)! / (a+b-1)! for integers a, b >= 1.
 
     This is the exact value of the half-line integral of

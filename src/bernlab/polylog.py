@@ -18,16 +18,19 @@ Li_{-n}(-t):
 ``polylog_neg_rf(n)`` is the "true" Li_{-n}(-t) for every n >= 0: the
 Stirling form for n >= 1, and -t/(1+t) at n = 0.
 
-Rational functions are canonical at construction: numerator and
-denominator share no polynomial factor and the denominator is monic, so
-equality is plain coefficient comparison.
+Every function is built directly in lowest terms with integer
+coefficients.  Li_{-n}(-t) has denominator (1+t)^(n+1) (the oracle has
+(1-x)^(n+1)), and its numerator does not vanish at the root: for n >= 1
+its value at t = -1 is n!.  So no polynomial GCD is ever taken, and the
+fixed denominator makes equality plain coefficient comparison.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Union
+from math import comb
+from typing import Iterable
 
 from .combinatorics import stirling2_row
 
@@ -35,7 +38,6 @@ __all__ = [
     "DENOMINATOR_FLOOR",
     "Polynomial",
     "RationalFunction",
-    "poly_gcd",
     "polylog_stirling_form",
     "polylog_neg_rf",
     "polylog_oracle",
@@ -48,23 +50,21 @@ __all__ = [
 # evaluating in floating point.
 DENOMINATOR_FLOOR = 1e-12
 
-Scalar = Union[int, Fraction]
-
 
 class Polynomial:
-    """Univariate polynomial over the rationals.
+    """Univariate polynomial with exact coefficients.
 
-    Coefficients are exact Fractions in ascending order with no trailing
-    zeros; the zero polynomial stores an empty tuple and reports degree
-    -1.  Instances are immutable.
+    Coefficients are stored in ascending order with no trailing zeros;
+    the zero polynomial stores an empty tuple and reports degree -1.
+    Instances are immutable.
     """
 
     __slots__ = ("coeffs",)
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+    def __init__(self, coeffs: Iterable = ()):
+        cs = list(coeffs)
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -75,11 +75,6 @@ class Polynomial:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def lead(self) -> Fraction:
-        """Leading coefficient; undefined (IndexError) for the zero polynomial."""
-        return self.coeffs[-1]
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -92,85 +87,13 @@ class Polynomial:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self.coeffs)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            if self.is_zero() or other.is_zero():
-                return Polynomial()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a:
-                    for j, b in enumerate(other.coeffs):
-                        out[i + j] += a * b
-            return Polynomial(out)
-        if isinstance(other, (int, Fraction)):
-            return Polynomial(c * other for c in self.coeffs)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __pow__(self, power: int) -> "Polynomial":
-        if power < 0:
-            raise ValueError("negative polynomial powers are not defined")
-        result = Polynomial([1])
-        for _ in range(power):
-            result = result * self
-        return result
-
-    def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Exact long division: self = q * other + r with deg r < deg other."""
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        dd = other.degree
-        if self.degree < dd:
-            return Polynomial(), self
-        rem = list(self.coeffs)
-        lead = other.coeffs[-1]
-        quot = [Fraction(0)] * (len(rem) - dd)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i] / lead
-            if c:
-                quot[i - dd] = c
-                for j, oc in enumerate(other.coeffs):
-                    rem[i - dd + j] -= c * oc
-        return Polynomial(quot), Polynomial(rem[:dd])
-
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[1]
-
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[0]
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial(i * c for i, c in enumerate(self.coeffs) if i)
-
     def negate_variable(self) -> "Polynomial":
         """p(-x) as a polynomial in x: flip the sign of odd coefficients."""
         return Polynomial(-c if i % 2 else c for i, c in enumerate(self.coeffs))
 
-    def evaluate(self, x: Scalar) -> Fraction:
+    def evaluate(self, x):
         """Exact Horner evaluation."""
-        acc = Fraction(0)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -207,65 +130,30 @@ class Polynomial:
         return f"Polynomial({self.render()})"
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic GCD over the rationals by the Euclidean algorithm.
-
-    Returns the zero polynomial only when both inputs are zero; for
-    coprime inputs the result is the constant 1.
-    """
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    return a * (Fraction(1) / a.lead)
-
-
-P_ZERO = Polynomial()
 P_ONE = Polynomial([1])
-P_T = Polynomial([0, 1])
-ONE_PLUS_T = Polynomial([1, 1])
-
-
-def _as_poly(value) -> Polynomial:
-    if isinstance(value, Polynomial):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Polynomial([value])
-    if isinstance(value, (list, tuple)):
-        return Polynomial(value)
-    raise TypeError(f"cannot interpret {value!r} as a polynomial")
 
 
 class RationalFunction:
-    """Quotient of two Polynomials, always held in canonical form:
-    numerator and denominator coprime, denominator monic, and zero
-    represented as 0/1.  Immutable; equality and hashing are
-    coefficient-wise on the canonical parts."""
+    """Quotient of two Polynomials, held exactly as given.
+
+    The constructor only rejects a zero denominator and stores zero as
+    0/1; it does not reduce.  The builders below produce lowest terms
+    with a fixed denominator per order, so coefficient-wise equality and
+    hashing agree with equality of the functions they build.  Immutable.
+    """
 
     __slots__ = ("numerator", "denominator")
 
     numerator: Polynomial
     denominator: Polynomial
 
-    def __init__(self, numerator, denominator=P_ONE):
-        num = _as_poly(numerator)
-        den = _as_poly(denominator)
-        if den.is_zero():
+    def __init__(self, numerator: Polynomial, denominator: Polynomial = P_ONE):
+        if denominator.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            num, den = P_ZERO, P_ONE
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num // g
-                den = den // g
-            lead = den.lead
-            if lead != 1:
-                inv = Fraction(1) / lead
-                num = num * inv
-                den = den * inv
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "denominator", den)
+        if numerator.is_zero():
+            denominator = P_ONE
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
@@ -278,50 +166,8 @@ class RationalFunction:
     def __hash__(self) -> int:
         return hash((self.numerator, self.denominator))
 
-    @staticmethod
-    def _coerce(value) -> "RationalFunction":
-        if isinstance(value, RationalFunction):
-            return value
-        return RationalFunction(_as_poly(value))
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return RationalFunction(
-            self.numerator * o.denominator + o.numerator * self.denominator,
-            self.denominator * o.denominator,
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.numerator, self.denominator)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return RationalFunction(self.numerator * o.numerator, self.denominator * o.denominator)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        return RationalFunction(self.numerator * o.denominator, self.denominator * o.numerator)
-
-    def is_zero(self) -> bool:
-        return self.numerator.is_zero()
-
-    def derivative(self) -> "RationalFunction":
-        """Quotient rule; canonicalization squeezes the denominator back down."""
-        p, q = self.numerator, self.denominator
-        return RationalFunction(p.derivative() * q - p * q.derivative(), q * q)
-
     def negate_variable(self) -> "RationalFunction":
-        """f(-x) as a canonical rational function of x."""
+        """f(-x): both parts with x replaced by -x."""
         return RationalFunction(self.numerator.negate_variable(), self.denominator.negate_variable())
 
     def render(self, var: str = "x") -> str:
@@ -363,48 +209,55 @@ def rf_compose_reciprocal(f: RationalFunction) -> RationalFunction:
     """g with g(t) = f(1/t), cleared back to polynomial form.
 
     Multiplying numerator and denominator by t^d (d the larger degree)
-    turns the substitution into coefficient reversal; canonicalization
-    then strips any common factor of t the reversal introduced.
+    turns the substitution into coefficient reversal.  At least one part
+    keeps a nonzero constant term, so a function in lowest terms stays
+    in lowest terms.
     """
-    if f.is_zero():
-        return f
     d = max(f.numerator.degree, f.denominator.degree)
 
     def reversed_padded(p: Polynomial) -> Polynomial:
-        cs = list(p.coeffs) + [Fraction(0)] * (d + 1 - len(p.coeffs))
-        return Polynomial(reversed(cs))
+        return Polynomial(reversed(p.coeffs + (0,) * (d + 1 - len(p.coeffs))))
 
     return RationalFunction(reversed_padded(f.numerator), reversed_padded(f.denominator))
+
+
+def _one_plus_t_power(e: int) -> Polynomial:
+    """(1+t)^e, expanded by the binomial theorem."""
+    return Polynomial(comb(e, i) for i in range(e + 1))
 
 
 @lru_cache(maxsize=None)
 def polylog_stirling_form(n: int) -> RationalFunction:
     """The literal finite sum sum_{k=0}^{n} k! S(n,k) (-t)^k / (1+t)^(k+1).
 
-    Equals Li_{-n}(-t) for n >= 1; at n = 0 it is 1/(1+t), off by the
-    constant 1 from the actual Li_0(-t).  Callers who need the genuine
-    order-0 function want polylog_neg_rf.
+    Over the common denominator (1+t)^(n+1) the numerator is
+    sum_k (-1)^k k! S(n,k) t^k (1+t)^(n-k).  Equals Li_{-n}(-t) for
+    n >= 1; at n = 0 it is 1/(1+t), off by the constant 1 from the
+    actual Li_0(-t).  Callers who need the genuine order-0 function want
+    polylog_neg_rf.
     """
     if n < 0:
         raise ValueError(f"polylog order must be non-negative, got {n}")
-    num = P_ZERO
+    num = [0] * (n + 1)
     kfact = 1
     for k, s in enumerate(stirling2_row(n)):
         if k:
             kfact *= k
         if s:
-            term = (P_T ** k) * (ONE_PLUS_T ** (n - k))
-            num = num + term * (kfact * s * (-1) ** k)
-    return RationalFunction(num, ONE_PLUS_T ** (n + 1))
+            c = (-1) ** k * kfact * s
+            for i in range(n - k + 1):
+                num[k + i] += c * comb(n - k, i)
+    return RationalFunction(Polynomial(num), _one_plus_t_power(n + 1))
 
 
 @lru_cache(maxsize=None)
 def polylog_neg_rf(n: int) -> RationalFunction:
-    """The true Li_{-n}(-t) as a canonical rational function of t, n >= 0."""
+    """The true Li_{-n}(-t) as a rational function of t in lowest terms, n >= 0."""
     if n < 0:
         raise ValueError(f"polylog order must be non-negative, got {n}")
     if n == 0:
-        return RationalFunction(-P_T, ONE_PLUS_T)  # geometric series x/(1-x) at x = -t
+        # geometric series x/(1-x) at x = -t
+        return RationalFunction(Polynomial([0, -1]), _one_plus_t_power(1))
     return polylog_stirling_form(n)
 
 
@@ -414,11 +267,22 @@ def polylog_oracle(n: int) -> RationalFunction:
 
         Li_0(x) = x/(1-x),   Li_{-n}(x) = x * d/dx Li_{-(n-1)}(x).
 
-    Shares no code with the Stirling-sum construction; comparing the two
-    (after substituting x = -t) is the module's central cross-check.
+    With Li_{-(n-1)} = P/(1-x)^n the quotient rule gives
+    Li_{-n} = x*[(1-x)*P' + n*P] / (1-x)^(n+1), so the recurrence runs
+    on numerators alone and each step multiplies the denominator by
+    (1-x).  Shares no code with the Stirling-sum construction; comparing
+    the two (after substituting x = -t) is the module's central
+    cross-check.
     """
     if n < 0:
         raise ValueError(f"polylog order must be non-negative, got {n}")
     if n == 0:
-        return RationalFunction(P_T, Polynomial([1, -1]))
-    return polylog_oracle(n - 1).derivative() * RationalFunction(P_T)
+        return RationalFunction(Polynomial([0, 1]), Polynomial([1, -1]))
+    prev = polylog_oracle(n - 1)
+    p = prev.numerator.coeffs + (0,)
+    q = prev.denominator.coeffs + (0,)
+    # x^i collects i*p_i from x*P' and (n-i+1)*p_{i-1} from -x^2*P' + n*x*P;
+    # the new denominator's x^i coefficient is q_i - q_{i-1}.
+    num = [i * p[i] + (n - i + 1) * p[i - 1] if i else 0 for i in range(len(p))]
+    den = [q[i] - q[i - 1] if i else q[0] for i in range(len(q))]
+    return RationalFunction(Polynomial(num), Polynomial(den))

@@ -180,6 +180,41 @@ def run_capture(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# Golden stdout of `polylog 12`, one entry per (format, --at): order 12
+# has eight-digit coefficients and a 14-term binomial denominator.
+POLYLOG_12_NUM = [
+    0, -1, 4083, -478271, 10187685, -66318474, 162512286,
+    -162512286, 66318474, -10187685, 478271, -4083, 1,
+]
+POLYLOG_12_DEN = [1, 13, 78, 286, 715, 1287, 1716, 1716, 1287, 715, 286, 78, 13, 1]
+POLYLOG_12_NUM_TEXT = (
+    "-t + 4083*t^2 - 478271*t^3 + 10187685*t^4 - 66318474*t^5 + 162512286*t^6"
+    " - 162512286*t^7 + 66318474*t^8 - 10187685*t^9 + 478271*t^10 - 4083*t^11 + t^12"
+)
+POLYLOG_12_DEN_TEXT = (
+    "1 + 13*t + 78*t^2 + 286*t^3 + 715*t^4 + 1287*t^5 + 1716*t^6 + 1716*t^7"
+    " + 1287*t^8 + 715*t^9 + 286*t^10 + 78*t^11 + 13*t^12 + t^13"
+)
+POLYLOG_12_PLAIN = f"Li_{{-12}}(-t) = ({POLYLOG_12_NUM_TEXT})/({POLYLOG_12_DEN_TEXT})\n"
+POLYLOG_12_CSV = f"n,numerator,denominator,at,value\n12,{POLYLOG_12_NUM_TEXT},{POLYLOG_12_DEN_TEXT},"
+POLYLOG_12_JSON = (
+    '{\n  "n": 12,\n  "numerator": [\n'
+    + ",\n".join(f'    "{c}"' for c in POLYLOG_12_NUM)
+    + '\n  ],\n  "denominator": [\n'
+    + ",\n".join(f'    "{c}"' for c in POLYLOG_12_DEN)
+    + "\n  ],\n"
+)
+POLYLOG_12_GOLDEN = {
+    ("plain", None): POLYLOG_12_PLAIN,
+    ("plain", "3/7"): POLYLOG_12_PLAIN + "value at t = 3/7: -2850661086/48828125\n",
+    ("csv", None): POLYLOG_12_CSV + ",\n",
+    ("csv", "3/7"): POLYLOG_12_CSV + "3/7,-2850661086/48828125\n",
+    ("json", None): POLYLOG_12_JSON + '  "at": null,\n  "value": null\n}\n',
+    ("json", "3/7"): POLYLOG_12_JSON
+    + '  "at": "3/7",\n  "value": {\n    "num": "-2850661086",\n    "den": "48828125"\n  }\n}\n',
+}
+
+
 class TestBernoulliCommand:
     def test_plain_output_is_identical_across_methods(self, capsys):
         for n in range(61):
@@ -288,6 +323,11 @@ class TestOtherValueCommands:
     def test_polylog_bad_rational_rejected(self, capsys):
         assert run_capture(capsys, "polylog", "2", "--at", "abc")[0] == 2
         assert run_capture(capsys, "polylog", "2", "--at", "1/0")[0] == 2
+
+    @pytest.mark.parametrize("fmt,at", sorted(POLYLOG_12_GOLDEN, key=str))
+    def test_polylog_order_12_golden(self, capsys, fmt, at):
+        argv = ["polylog", "12", "--format", fmt] + ([] if at is None else ["--at", at])
+        assert run_capture(capsys, *argv) == (0, POLYLOG_12_GOLDEN[fmt, at], "")
 
 
 class TestQuadratureCommands:

@@ -1,64 +1,11 @@
-"""Canonical fractions, factorials, binomials, and integer Beta values."""
+"""Binomials with the zero convention and integer Beta values."""
 
 from fractions import Fraction
-from math import gcd
+from math import factorial
 
 import pytest
-from hypothesis import given, strategies as st
 
-from bernlab.exact_arith import beta_integer, binomial, factorial, rational
-
-
-class TestRational:
-    def test_reduces_to_lowest_terms(self):
-        assert rational(2, 4) == Fraction(1, 2)
-
-    def test_sign_lives_in_the_numerator(self):
-        q = rational(1, -3)
-        assert q == Fraction(-1, 3)
-        assert q.numerator == -1 and q.denominator == 3
-
-    def test_zero_is_zero_over_one(self):
-        q = rational(0, 5)
-        assert q.numerator == 0 and q.denominator == 1
-
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            rational(5, 0)
-
-    @given(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9).filter(bool))
-    def test_canonical_form(self, num, den):
-        q = rational(num, den)
-        assert q.denominator > 0
-        assert gcd(abs(q.numerator), q.denominator) == 1
-        assert q.numerator * den == num * q.denominator
-
-    @given(st.fractions(), st.fractions())
-    def test_addition_has_exact_inverse(self, a, b):
-        assert (a + b) - b == a
-
-    @given(st.fractions(), st.fractions().filter(bool))
-    def test_multiplication_has_exact_inverse(self, a, b):
-        assert (a * b) / b == a
-
-
-class TestFactorial:
-    def test_small_values(self):
-        assert factorial(0) == 1
-        assert factorial(5) == 120
-
-    def test_twenty(self):
-        assert factorial(20) == 2432902008176640000
-
-    def test_matches_repeated_multiplication(self):
-        product = 1
-        for n in range(31):
-            assert factorial(n) == product
-            product *= n + 1
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            factorial(-1)
+from bernlab.exact_arith import beta_integer, binomial
 
 
 class TestBinomial:
@@ -104,8 +51,8 @@ class TestBetaInteger:
         for k in range(21):
             for l in range(21):
                 value = beta_integer(k + 1, l + 1)
-                assert value == rational(factorial(k) * factorial(l), factorial(k + l + 1))
-                assert value == rational(1, (k + l + 1) * binomial(k + l, l))
+                assert value == Fraction(factorial(k) * factorial(l), factorial(k + l + 1))
+                assert value == Fraction(1, (k + l + 1) * binomial(k + l, l))
 
     @pytest.mark.parametrize("a,b", [(0, 1), (1, 0), (-2, 3)])
     def test_nonpositive_arguments_rejected(self, a, b):

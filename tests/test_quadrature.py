@@ -1,23 +1,24 @@
 """Gauss-Legendre machinery and the half-line integral identity.
 
 The float quadrature is cross-checked here against a fully symbolic
-oracle: every integrand in scope is a rational function whose canonical
-denominator is a power of (1 + t), so the half-line integral has an
-exact closed form obtained by rewriting the numerator in the basis
-(1 + t)^j.  That gives the identity an arithmetic-only second route that
-never touches floating point.
+oracle: every integrand in scope is num(t)/(1+t)^d with integer
+coefficients in lowest terms, so the half-line integral has an exact
+closed form obtained by rewriting the numerator in the basis (1 + t)^j.
+That gives the identity an arithmetic-only second route that never
+touches floating point.  The oracle's polynomial arithmetic (a product,
+division by t, synthetic division by 1 + t) lives here, on plain
+integer coefficient lists.
 """
 
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
 from bernlab.bernoulli import bernoulli_recurrence, bernoulli_split
 from bernlab.combinatorics import stirling2
-from bernlab.exact_arith import beta_integer, factorial
+from bernlab.exact_arith import beta_integer
 from bernlab.polylog import (
-    ONE_PLUS_T,
-    P_T,
     Polynomial,
     RationalFunction,
     polylog_neg_rf,
@@ -37,33 +38,62 @@ from bernlab.quadrature import (
     verify_integral,
 )
 
+P_T = Polynomial([0, 1])
+
+
+def one_plus_t(e: int) -> Polynomial:
+    """(1+t)^e."""
+    return Polynomial(comb(e, i) for i in range(e + 1))
+
+
+def coeff_product(a, b) -> list:
+    """Coefficients of the product of two coefficient sequences."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def divide_by_one_plus_t(coeffs) -> tuple[list, int]:
+    """(quotient, remainder) of a polynomial divided by 1 + t (synthetic division at -1)."""
+    acc = 0
+    out = []
+    for c in reversed(coeffs):
+        acc = c - acc
+        out.append(acc)
+    remainder = out.pop()
+    return out[::-1], remainder
+
 
 def identity_integrand_rf(m: int, n: int) -> RationalFunction:
     """The identity integrand for orders (m, n) as an exact rational function."""
     left = rf_compose_reciprocal(polylog_neg_rf(m))
     right = polylog_neg_rf(n)
-    return left * right / RationalFunction(P_T)
+    num = coeff_product(left.numerator.coeffs, right.numerator.coeffs)
+    den = coeff_product(left.denominator.coeffs, right.denominator.coeffs)
+    assert num[0] == 0, "Li_{-n}(-t) vanishes at t = 0, so the product divides by t"
+    return RationalFunction(Polynomial(num[1:]), Polynomial(den))
 
 
 def exact_halfline_integral(f: RationalFunction) -> Fraction:
     """Integrate num(t)/(1+t)^d exactly over (0, infinity).
 
-    Requires the canonical denominator to be a power of (1 + t) and the
-    numerator degree to sit at least two below it (decay like 1/t^2).
-    Writing num = sum c_j (1+t)^j via repeated division by (1 + t) and
-    using integral_0^inf (1+t)^(j-d) dt = 1/(d - j - 1) gives the value.
+    Requires the denominator to be a power of (1 + t) and the numerator
+    degree to sit at least two below it (decay like 1/t^2).  Writing
+    num = sum c_j (1+t)^j via repeated division by (1 + t) and using
+    integral_0^inf (1+t)^(j-d) dt = 1/(d - j - 1) gives the value.
     """
-    num = f.numerator
     d = f.denominator.degree
-    if f.denominator != ONE_PLUS_T**d:
+    if f.denominator != one_plus_t(d):
         raise ValueError("denominator is not a power of 1 + t")
-    if num.degree > d - 2:
+    if f.numerator.degree > d - 2:
         raise ValueError("integrand does not decay fast enough to converge")
+    num = list(f.numerator.coeffs)
     total = Fraction(0)
     j = 0
-    while not num.is_zero():
-        num, rem = divmod(num, ONE_PLUS_T)
-        constant = rem.coeffs[0] if rem.coeffs else Fraction(0)
+    while num:
+        num, constant = divide_by_one_plus_t(num)
         total += Fraction(constant, d - j - 1)
         j += 1
     return total
@@ -72,24 +102,24 @@ def exact_halfline_integral(f: RationalFunction) -> Fraction:
 class TestExactOracleIsSelfConsistent:
     def test_simple_closed_forms(self):
         assert exact_halfline_integral(
-            RationalFunction(Polynomial([1]), ONE_PLUS_T**2)
+            RationalFunction(Polynomial([1]), one_plus_t(2))
         ) == 1
         assert exact_halfline_integral(
-            RationalFunction(Polynomial([1]), ONE_PLUS_T**3)
+            RationalFunction(Polynomial([1]), one_plus_t(3))
         ) == Fraction(1, 2)
         # t/(1+t)^4 = (1+t)^1*... -> 1/2 - 1/3
         assert exact_halfline_integral(
-            RationalFunction(P_T, ONE_PLUS_T**4)
+            RationalFunction(P_T, one_plus_t(4))
         ) == Fraction(1, 6)
 
     def test_divergent_integrand_rejected(self):
         with pytest.raises(ValueError):
-            exact_halfline_integral(RationalFunction(Polynomial([1]), ONE_PLUS_T))
+            exact_halfline_integral(RationalFunction(Polynomial([1]), one_plus_t(1)))
 
     def test_non_power_denominator_rejected(self):
         with pytest.raises(ValueError):
             exact_halfline_integral(
-                RationalFunction(Polynomial([1]), Polynomial([2, 0, 1]) * ONE_PLUS_T)
+                RationalFunction(Polynomial([1]), Polynomial([2, 2, 1, 1]))  # (2 + t^2)(1 + t)
             )
 
 
