@@ -14,7 +14,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import lcm
+from operator import add, mul
 
 from .combinatorics import stirling2_row
 
@@ -63,13 +64,25 @@ class BernoulliTable:
         B_0 = 1,   B_m = -(1/(m+1)) * sum_{j<m} C(m+1, j) B_j,
 
     which is what multiplying t/(e^t - 1) = sum B_j t^j / j! through by
-    (e^t - 1) forces.  Extension happens under a lock; entries, once
-    stored, never change, so a shared instance may be read from any
-    thread.
+    (e^t - 1) forces.
+
+    The sum runs in integers.  Invariant: D is the lcm of the
+    denominators of B_0..B_max, and every non-zero B_j is held as the
+    int pair (j, B_j * D); the zero B_j (odd j >= 3) are not held.  A
+    step therefore sums C(m+1, j) * (B_j * D), reading C(m+1, j) from a
+    held Pascal row that advances by additions, and builds the one
+    Fraction -sum / (D * (m+1)).  When B_m brings a new prime into D,
+    the held numerators are multiplied by the small factor D_new / D.
+
+    Extension happens under a lock; entries, once stored, never change,
+    so a shared instance may be read from any thread.
     """
 
     def __init__(self, max_n: int = 0):
         self._values: list[Fraction] = [Fraction(1)]
+        self._den = 1
+        self._scaled: list[tuple[int, int]] = [(0, 1)]
+        self._binom = [1, 2, 1]  # C(max_n + 2, j)
         self._lock = threading.Lock()
         if max_n > 0:
             self.extend_to(max_n)
@@ -82,8 +95,18 @@ class BernoulliTable:
         with self._lock:
             while len(self._values) <= n:
                 m = len(self._values)
-                acc = sum(comb(m + 1, j) * self._values[j] for j in range(m))
-                self._values.append(-acc / (m + 1))
+                binom = self._binom
+                acc = sum(binom[j] * num for j, num in self._scaled)
+                self._binom = [1, *map(add, binom, binom[1:]), 1]
+                value = Fraction(-acc, self._den * (m + 1))
+                self._values.append(value)
+                if value:
+                    den = lcm(self._den, value.denominator)
+                    factor = den // self._den
+                    if factor > 1:
+                        self._scaled = [(j, num * factor) for j, num in self._scaled]
+                        self._den = den
+                    self._scaled.append((m, value.numerator * (den // value.denominator)))
 
     def value(self, n: int) -> Fraction:
         if n < 0:
@@ -104,19 +127,24 @@ def bernoulli_stirling_sum(n: int) -> Fraction:
     """Exact B_n as the single alternating Stirling sum
 
         B_n = sum_{k=0}^{n} (-1)^k k! S(n, k) / (k + 1).
+
+    The terms sit over the common denominator L = lcm(1, ..., n+1) and
+    accumulate in pure integer arithmetic; one Fraction is built at the
+    end.
     """
     if n < 0:
         raise ValueError(f"Bernoulli index must be non-negative, got {n}")
-    total = Fraction(0)
+    den = lcm(*range(1, n + 2))
+    acc = 0
     sign = 1
     kfact = 1
     for k, s in enumerate(stirling2_row(n)):
         if k:
             kfact *= k
         if s:
-            total += Fraction(sign * kfact * s, k + 1)
+            acc += sign * kfact * s * (den // (k + 1))
         sign = -sign
-    return total
+    return Fraction(acc, den)
 
 
 def bernoulli_split(m: int, n: int) -> Fraction:
@@ -128,7 +156,13 @@ def bernoulli_split(m: int, n: int) -> Fraction:
     Each term's denominator is evaluated in the equivalent factorial form
     k! l! / (k+l+1)!, so the sum sits over the common denominator
     (m+n+1)! and accumulates in pure integer arithmetic; one Fraction is
-    built at the end.
+    built at the end.  With a_k = (-1)^k (k!)^2 S(n,k) and
+    b_l = (-1)^l (l!)^2 S(m,l), the k-th factor is pulled out of the
+    inner sum,
+
+        acc = sum_k a_k * sum_l b_l * (m+n+1)!/(k+l+1)!,
+
+    so each (k, l) term costs one big-integer multiply, not two.
     """
     if m < 0 or n < 0:
         raise ValueError(f"split indices must be non-negative, got ({m}, {n})")
@@ -142,11 +176,8 @@ def bernoulli_split(m: int, n: int) -> Fraction:
     b = [(-1) ** l * fact[l] * fact[l] * s for l, s in enumerate(stirling2_row(m))]
     acc = 0
     for k, ak in enumerate(a):
-        if not ak:
-            continue
-        for l, bl in enumerate(b):
-            if bl:
-                acc += ak * bl * scale[k + l]
+        if ak:
+            acc += ak * sum(map(mul, b, scale[k : k + m + 1]))
     return Fraction(acc, den)
 
 

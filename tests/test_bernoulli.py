@@ -1,6 +1,9 @@
 """The three Bernoulli strategies and zeta at non-positive integers."""
 
+import sys
+import threading
 from fractions import Fraction
+from math import comb, factorial, lcm
 
 import pytest
 
@@ -15,6 +18,7 @@ from bernlab.bernoulli import (
     bernoulli_stirling_sum,
     zeta_nonpositive,
 )
+from bernlab.combinatorics import stirling2
 
 # First entries of the sequence under the B_1 = -1/2 convention.
 FIRST_BERNOULLI = [
@@ -63,6 +67,54 @@ class TestRecurrence:
         for n in range(61):
             assert fresh.value(n) == bernoulli_recurrence(n)
 
+    def test_uneven_growth_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        table = BernoulliTable()
+        # uneven steps, so new primes enter the common denominator
+        # between calls as well as within them
+        for top in (7, 97, 211, 400):
+            table.extend_to(top)
+        assert table.max_n == 400
+        for n in range(401):
+            assert table.value(n) == Fraction(*mpmath.bernfrac(n)), n
+
+    def test_scaled_numerators_invariant(self):
+        table = BernoulliTable(max_n=120)
+        values = [table.value(j) for j in range(121)]
+        den = lcm(*(v.denominator for v in values))
+        assert table._den == den
+        assert table._scaled == [(j, int(v * den)) for j, v in enumerate(values) if v]
+
+    def test_concurrent_extension_matches_one_call(self):
+        shared = BernoulliTable()
+        targets = (50, 150, 250, 300)
+        barrier = threading.Barrier(len(targets))
+        errors = []
+
+        def grow(top):
+            try:
+                barrier.wait(timeout=10)
+                shared.extend_to(top)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=grow, args=(top,)) for top in targets]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        reference = BernoulliTable(max_n=300)
+        assert shared.max_n == 300
+        for n in range(301):
+            assert shared.value(n) == reference.value(n), n
+
 
 class TestStirlingSum:
     def test_examples(self):
@@ -72,6 +124,10 @@ class TestStirlingSum:
 
     def test_matches_recurrence(self):
         for n in range(61):
+            assert bernoulli_stirling_sum(n) == bernoulli_recurrence(n), n
+
+    def test_matches_recurrence_up_to_400(self):
+        for n in range(0, 401, 9):
             assert bernoulli_stirling_sum(n) == bernoulli_recurrence(n), n
 
     def test_negative_rejected(self):
@@ -100,6 +156,26 @@ class TestSplit:
         for m in range(13):
             for n in range(13):
                 assert bernoulli_split(m, n) == bernoulli_recurrence(m + n), (m, n)
+
+    def test_matches_literal_formula(self):
+        # one Fraction per term, denominator (k+l+1) * C(k+l, l) as printed
+        def literal(m, n):
+            return sum(
+                Fraction(
+                    (-1) ** (k + l) * factorial(k) * factorial(l) * stirling2(n, k) * stirling2(m, l),
+                    (k + l + 1) * comb(k + l, l),
+                )
+                for k in range(n + 1)
+                for l in range(m + 1)
+            )
+
+        for total in range(25):
+            for m in range(total + 1):
+                assert bernoulli_split(m, total - m) == literal(m, total - m), (m, total - m)
+
+    @pytest.mark.parametrize("m, n", [(0, 250), (250, 0), (3, 240), (125, 125)])
+    def test_matches_recurrence_at_large_pairs(self, m, n):
+        assert bernoulli_split(m, n) == bernoulli_recurrence(m + n)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
