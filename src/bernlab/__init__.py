@@ -13,12 +13,7 @@ rational arithmetic; floats appear only inside the quadrature.
 """
 
 from .bernoulli import (
-    BernoulliMethod,
     BernoulliTable,
-    Recurrence,
-    Split,
-    StirlingSum,
-    bernoulli,
     bernoulli_recurrence,
     bernoulli_split,
     bernoulli_stirling_sum,
@@ -59,19 +54,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BRUTE_FORCE_MAX_N",
-    "BernoulliMethod",
     "BernoulliTable",
     "MAX_BETA_SUM",
     "MAX_IDENTITY_SUM",
     "Polynomial",
     "QuadratureReport",
     "RationalFunction",
-    "Recurrence",
-    "Split",
-    "StirlingSum",
     "StirlingTriangle",
     "bell",
-    "bernoulli",
     "bernoulli_recurrence",
     "bernoulli_split",
     "bernoulli_stirling_sum",

@@ -12,7 +12,6 @@ strategies are the ones under test and must agree with it everywhere.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add, mul
@@ -20,42 +19,12 @@ from operator import add, mul
 from .combinatorics import stirling2_row
 
 __all__ = [
-    "Recurrence",
-    "StirlingSum",
-    "Split",
-    "BernoulliMethod",
     "BernoulliTable",
-    "bernoulli",
     "bernoulli_recurrence",
     "bernoulli_stirling_sum",
     "bernoulli_split",
     "zeta_nonpositive",
 ]
-
-
-@dataclass(frozen=True)
-class Recurrence:
-    """Generating-function recurrence (ground truth)."""
-
-
-@dataclass(frozen=True)
-class StirlingSum:
-    """Single alternating sum over one Stirling row."""
-
-
-@dataclass(frozen=True)
-class Split:
-    """Double sum over Stirling rows m and n; evaluates B_(m+n)."""
-
-    m: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.m < 0 or self.n < 0:
-            raise ValueError(f"split indices must be non-negative, got ({self.m}, {self.n})")
-
-
-BernoulliMethod = Recurrence | StirlingSum | Split
 
 
 class BernoulliTable:
@@ -179,27 +148,6 @@ def bernoulli_split(m: int, n: int) -> Fraction:
         if ak:
             acc += ak * sum(map(mul, b, scale[k : k + m + 1]))
     return Fraction(acc, den)
-
-
-def bernoulli(n: int, method: BernoulliMethod = Recurrence()) -> Fraction:
-    """B_n by the chosen strategy.
-
-    A Split(m', n') method must satisfy m' + n' == n; anything else is
-    rejected rather than silently recomputed.
-    """
-    if n < 0:
-        raise ValueError(f"Bernoulli index must be non-negative, got {n}")
-    match method:
-        case Recurrence():
-            return bernoulli_recurrence(n)
-        case StirlingSum():
-            return bernoulli_stirling_sum(n)
-        case Split(m=m, n=k):
-            if m + k != n:
-                raise ValueError(f"split pair ({m}, {k}) does not sum to {n}")
-            return bernoulli_split(m, k)
-        case _:
-            raise TypeError(f"unknown Bernoulli method: {method!r}")
 
 
 def zeta_nonpositive(s: int) -> Fraction:

@@ -1,8 +1,12 @@
 """Command-line interface, b-file handling, and the benchmark harness.
 
-Subcommands print to stdout in one of three formats (plain, csv, json)
-and use the exit-code contract: 0 for success or PASS, 1 for a
-verification FAIL, 2 for usage, parse, or data errors.
+Each subcommand handler computes its result and returns one `Output`
+record: the plain-text lines, the CSV header and rows, the JSON object
+and the exit code.  `run` prints it through `_emit`, the only code that
+looks at `--format` (plain, csv or json).  Exit-code contract: 0 for
+success or PASS, 1 for a verification FAIL, 2 for usage, parse, or
+data errors.  Size arguments above `MAX_SIZE` (or a bench sweep above
+`MAX_BENCH_SUM`) are refused with exit 2 before any work starts.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import statistics
 import sys
 import time
@@ -21,10 +26,6 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .bernoulli import (
     BernoulliTable,
-    Recurrence,
-    Split,
-    StirlingSum,
-    bernoulli,
     bernoulli_recurrence,
     bernoulli_split,
     bernoulli_stirling_sum,
@@ -46,6 +47,7 @@ __all__ = [
     "BenchRow",
     "OeisRow",
     "MAX_BENCH_SUM",
+    "MAX_SIZE",
     "parse_bfile",
     "render_bfile",
     "oeis_check",
@@ -55,7 +57,12 @@ __all__ = [
     "main",
 ]
 
-MAX_BENCH_SUM = 200
+# Largest size argument a subcommand accepts (bernoulli n, stirling n,
+# table --max, polylog n, identity m + n).  At the limit the slowest
+# routes take about 10 s and the Stirling triangle about 200 MB.
+MAX_SIZE = 1000
+# Largest bench sweep; bench_run(60) takes about 1.4 s.
+MAX_BENCH_SUM = 60
 
 
 def rational_json(q: Fraction) -> dict[str, str]:
@@ -226,25 +233,51 @@ def bench_run(
 
 
 # ---------------------------------------------------------------------------
-# output helpers
+# the output layer
 
 
-def _emit_csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+class Output(NamedTuple):
+    """One subcommand's result in every format `_emit` can print."""
+
+    plain: list[str]
+    header: Sequence[str]
+    rows: list[Sequence[object]]
+    json: dict
+    code: int = 0
 
 
-def _emit_json(obj: object) -> None:
-    print(json.dumps(obj, indent=2))
+def _record(plain: list[str], record: dict, code: int = 0) -> Output:
+    """An Output whose CSV is the single row `record` under its keys."""
+    return Output(plain, tuple(record), [tuple(record.values())], record, code)
 
 
-def _report_payload(report: QuadratureReport, first: str, second: str, status: str, tol: float) -> dict:
-    return {
+def _emit(output: Output, fmt: str) -> int:
+    """Print `output` in `fmt` and return its exit code.
+
+    JSON writes Fractions as {"num", "den"} decimal strings; CSV writes
+    them with str, bools as true/false and None as an empty cell.
+    """
+    if fmt == "plain":
+        print(*output.plain, sep="\n")
+    elif fmt == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(output.header)
+        writer.writerows(
+            ["true" if v is True else "false" if v is False else v for v in row] for row in output.rows
+        )
+    else:
+        print(json.dumps(output.json, indent=2, default=rational_json))
+    return output.code
+
+
+def _report_output(report: QuadratureReport, tol: float, first: str, second: str) -> Output:
+    ok = report.rel_error <= tol
+    status = "PASS" if ok else "FAIL"
+    record = {
         first: report.m,
         second: report.n,
         "estimate": report.estimate,
-        "expected": rational_json(report.expected),
+        "expected": report.expected,
         "abs_error": report.abs_error,
         "rel_error": report.rel_error,
         "panels": report.panels,
@@ -252,233 +285,138 @@ def _report_payload(report: QuadratureReport, first: str, second: str, status: s
         "tol": tol,
         "status": status,
     }
-
-
-def _emit_report(report: QuadratureReport, fmt: str, tol: float, names: tuple[str, str]) -> int:
-    first, second = names
-    ok = report.rel_error <= tol
-    status = "PASS" if ok else "FAIL"
-    if fmt == "plain":
-        print(f"{first}={report.m} {second}={report.n} panels={report.panels} nodes={report.nodes}")
-        print(f"estimate  = {report.estimate!r}")
-        print(f"expected  = {report.expected} ({float(report.expected)!r})")
-        print(f"abs_error = {report.abs_error:.3e}")
-        print(f"rel_error = {report.rel_error:.3e} (tol {tol:g})")
-        print(status)
-    elif fmt == "csv":
-        _emit_csv(
-            (first, second, "estimate", "expected", "abs_error", "rel_error", "panels", "nodes", "status"),
-            [(
-                report.m,
-                report.n,
-                repr(report.estimate),
-                str(report.expected),
-                repr(report.abs_error),
-                repr(report.rel_error),
-                report.panels,
-                report.nodes,
-                status,
-            )],
-        )
-    else:
-        _emit_json(_report_payload(report, first, second, status, tol))
-    return 0 if ok else 1
+    header = [key for key in record if key != "tol"]
+    plain = [
+        f"{first}={report.m} {second}={report.n} panels={report.panels} nodes={report.nodes}",
+        f"estimate  = {report.estimate!r}",
+        f"expected  = {report.expected} ({float(report.expected)!r})",
+        f"abs_error = {report.abs_error:.3e}",
+        f"rel_error = {report.rel_error:.3e} (tol {tol:g})",
+        status,
+    ]
+    return Output(plain, header, [[record[key] for key in header]], record, 0 if ok else 1)
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 
-def _cmd_bernoulli(args: argparse.Namespace) -> int:
+def _check_size(name: str, value: int) -> None:
+    if value > MAX_SIZE:
+        raise ValueError(f"{name} is capped at {MAX_SIZE}, got {value}")
+
+
+def _cmd_bernoulli(args: argparse.Namespace) -> Output:
+    _check_size("n", args.n)
     if args.m is not None and args.method != "split":
         raise ValueError("--m only makes sense with --method split")
     if args.method == "split":
         m = args.n // 2 if args.m is None else args.m
         if m > args.n:
             raise ValueError(f"--m must not exceed n={args.n}, got {m}")
-        method = Split(m, args.n - m)
+        value = bernoulli_split(m, args.n - m)
     elif args.method == "stirling-sum":
-        method = StirlingSum()
+        value = bernoulli_stirling_sum(args.n)
     else:
-        method = Recurrence()
-    value = bernoulli(args.n, method)
-    if args.format == "plain":
-        print(value)
-    elif args.format == "csv":
-        _emit_csv(("n", "value"), [(args.n, str(value))])
-    else:
-        _emit_json({"n": args.n, "value": rational_json(value)})
-    return 0
+        value = bernoulli_recurrence(args.n)
+    return _record([str(value)], {"n": args.n, "value": value})
 
 
-def _cmd_stirling(args: argparse.Namespace) -> int:
-    value = stirling2(args.n, args.k)
-    if args.format == "plain":
-        print(value)
-    elif args.format == "csv":
-        _emit_csv(("n", "k", "value"), [(args.n, args.k, value)])
-    else:
-        _emit_json({"n": args.n, "k": args.k, "value": str(value)})
-    return 0
+def _cmd_stirling(args: argparse.Namespace) -> Output:
+    _check_size("n", args.n)
+    value = str(stirling2(args.n, args.k))
+    return _record([value], {"n": args.n, "k": args.k, "value": value})
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: argparse.Namespace) -> Output:
+    _check_size("--max", args.max)
     values = [(n, bernoulli_recurrence(n)) for n in range(args.max + 1)]
-    if args.format == "plain":
-        for n, v in values:
-            print(f"B_{n} = {v}")
-    elif args.format == "csv":
-        _emit_csv(("n", "value"), [(n, str(v)) for n, v in values])
-    else:
-        _emit_json(
-            {"max": args.max, "values": [{"n": n, "value": rational_json(v)} for n, v in values]}
-        )
-    return 0
+    return Output(
+        [f"B_{n} = {v}" for n, v in values],
+        ("n", "value"),
+        values,
+        {"max": args.max, "values": [{"n": n, "value": v} for n, v in values]},
+    )
 
 
-def _cmd_identity(args: argparse.Namespace) -> int:
+def _cmd_identity(args: argparse.Namespace) -> Output:
     index = args.m + args.n
+    _check_size("m + n", index)
     split_value = bernoulli_split(args.m, args.n)
     oracle = bernoulli_recurrence(index)
     ok = split_value == oracle
-    if args.format == "plain":
-        print(f"B_{index} = {split_value}")
-        print("MATCH" if ok else f"MISMATCH (recurrence gives {oracle})")
-    elif args.format == "csv":
-        _emit_csv(
-            ("m", "n", "index", "split", "recurrence", "match"),
-            [(args.m, args.n, index, str(split_value), str(oracle), str(ok).lower())],
-        )
-    else:
-        _emit_json(
-            {
-                "m": args.m,
-                "n": args.n,
-                "index": index,
-                "split": rational_json(split_value),
-                "recurrence": rational_json(oracle),
-                "match": ok,
-            }
-        )
-    return 0 if ok else 1
+    return _record(
+        [f"B_{index} = {split_value}", "MATCH" if ok else f"MISMATCH (recurrence gives {oracle})"],
+        {"m": args.m, "n": args.n, "index": index, "split": split_value, "recurrence": oracle, "match": ok},
+        0 if ok else 1,
+    )
 
 
-def _cmd_polylog(args: argparse.Namespace) -> int:
+def _cmd_polylog(args: argparse.Namespace) -> Output:
+    _check_size("n", args.n)
     f = polylog_neg_rf(args.n)
-    value = rf_eval_exact(f, args.at) if args.at is not None else None
-    if args.format == "plain":
-        print(f"Li_{{-{args.n}}}(-t) = {f.render('t')}")
-        if value is not None:
-            print(f"value at t = {args.at}: {value}")
-    elif args.format == "csv":
-        _emit_csv(
-            ("n", "numerator", "denominator", "at", "value"),
-            [(
-                args.n,
-                f.numerator.render("t"),
-                f.denominator.render("t"),
-                "" if args.at is None else str(args.at),
-                "" if value is None else str(value),
-            )],
-        )
-    else:
-        _emit_json(
-            {
-                "n": args.n,
-                "numerator": [str(c) for c in f.numerator.coeffs],
-                "denominator": [str(c) for c in f.denominator.coeffs],
-                "at": None if args.at is None else str(args.at),
-                "value": None if value is None else rational_json(value),
-            }
-        )
-    return 0
+    plain = [f"Li_{{-{args.n}}}(-t) = {f.render('t')}"]
+    at = value = None
+    if args.at is not None:
+        at, value = str(args.at), rf_eval_exact(f, args.at)
+        plain.append(f"value at t = {at}: {value}")
+    return Output(
+        plain,
+        ("n", "numerator", "denominator", "at", "value"),
+        [(args.n, f.numerator.render("t"), f.denominator.render("t"), at, value)],
+        {
+            "n": args.n,
+            "numerator": [str(c) for c in f.numerator.coeffs],
+            "denominator": [str(c) for c in f.denominator.coeffs],
+            "at": at,
+            "value": value,
+        },
+    )
 
 
-def _cmd_verify_integral(args: argparse.Namespace) -> int:
+def _cmd_verify_integral(args: argparse.Namespace) -> Output:
     report = verify_integral(args.m, args.n, args.panels, args.nodes)
-    return _emit_report(report, args.format, args.tol, ("m", "n"))
+    return _report_output(report, args.tol, "m", "n")
 
 
-def _cmd_beta_check(args: argparse.Namespace) -> int:
+def _cmd_beta_check(args: argparse.Namespace) -> Output:
     report = beta_quadrature_check(args.k, args.l, args.panels, args.nodes)
-    return _emit_report(report, args.format, args.tol, ("k", "l"))
+    return _report_output(report, args.tol, "k", "l")
 
 
-def _cmd_oeis_check(args: argparse.Namespace) -> int:
+def _cmd_oeis_check(args: argparse.Namespace) -> Output:
     numerators = parse_bfile(Path(args.numerators).read_text())
     denominators = parse_bfile(Path(args.denominators).read_text())
     rows = oeis_check(numerators, denominators, args.max)
-    all_ok = all(r.ok for r in rows)
-    if args.format == "plain":
-        for r in rows:
-            if r.ok:
-                print(f"n={r.n} PASS")
-            else:
-                print(
-                    f"n={r.n} FAIL file={r.file_value} recurrence={r.recurrence} split={r.split}"
-                )
-        passed = sum(r.ok for r in rows)
-        print(f"{passed}/{len(rows)} PASS")
-    elif args.format == "csv":
-        _emit_csv(
-            ("n", "file_value", "recurrence", "split", "status"),
-            [
-                (r.n, str(r.file_value), str(r.recurrence), str(r.split), "PASS" if r.ok else "FAIL")
-                for r in rows
-            ],
-        )
-    else:
-        _emit_json(
-            {
-                "max": args.max,
-                "rows": [
-                    {
-                        "n": r.n,
-                        "file_value": rational_json(r.file_value),
-                        "recurrence": rational_json(r.recurrence),
-                        "split": rational_json(r.split),
-                        "ok": r.ok,
-                    }
-                    for r in rows
-                ],
-                "all_pass": all_ok,
-            }
-        )
-    return 0 if all_ok else 1
+    passed = sum(r.ok for r in rows)
+    all_ok = passed == len(rows)
+    plain = [
+        f"n={r.n} PASS" if r.ok
+        else f"n={r.n} FAIL file={r.file_value} recurrence={r.recurrence} split={r.split}"
+        for r in rows
+    ]
+    plain.append(f"{passed}/{len(rows)} PASS")
+    return Output(
+        plain,
+        ("n", "file_value", "recurrence", "split", "status"),
+        [(r.n, r.file_value, r.recurrence, r.split, "PASS" if r.ok else "FAIL") for r in rows],
+        {"max": args.max, "rows": [vars(r) for r in rows], "all_pass": all_ok},
+        0 if all_ok else 1,
+    )
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
+def _cmd_bench(args: argparse.Namespace) -> Output:
     rows = bench_run(args.max_sum)
-    if args.format == "plain":
-        print(f"{'method':<14}{'n':>4}{'split_m':>9}{'seconds':>14}  result_hash")
-        for r in rows:
-            m = "-" if r.split_m is None else str(r.split_m)
-            print(f"{r.method:<14}{r.n:>4}{m:>9}{r.seconds:>14.3e}  {r.result_hash}")
-    elif args.format == "csv":
-        _emit_csv(
-            ("method", "n", "split_m", "seconds", "result_hash"),
-            [
-                (r.method, r.n, "" if r.split_m is None else r.split_m, repr(r.seconds), r.result_hash)
-                for r in rows
-            ],
-        )
-    else:
-        _emit_json(
-            {
-                "max_sum": args.max_sum,
-                "rows": [
-                    {
-                        "method": r.method,
-                        "n": r.n,
-                        "split_m": r.split_m,
-                        "seconds": r.seconds,
-                        "result_hash": r.result_hash,
-                    }
-                    for r in rows
-                ],
-            }
-        )
-    return 0
+    plain = [f"{'method':<14}{'n':>4}{'split_m':>9}{'seconds':>14}  result_hash"]
+    for r in rows:
+        m = "-" if r.split_m is None else str(r.split_m)
+        plain.append(f"{r.method:<14}{r.n:>4}{m:>9}{r.seconds:>14.3e}  {r.result_hash}")
+    return Output(
+        plain,
+        ("method", "n", "split_m", "seconds", "result_hash"),
+        [tuple(vars(r).values()) for r in rows],
+        {"max_sum": args.max_sum, "rows": [vars(r) for r in rows]},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +444,16 @@ def _positive_int(text: str) -> int:
     value = _any_int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("value must be positive")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and non-negative, got {text!r}")
     return value
 
 
@@ -570,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("m", type=_nonneg_int)
     p.add_argument("n", type=_nonneg_int)
-    p.add_argument("--tol", type=float, default=1e-6, help="rel_error bound for PASS")
+    p.add_argument("--tol", type=_tolerance, default=1e-6, help="rel_error bound for PASS")
     p.set_defaults(handler=_cmd_verify_integral)
 
     p = sub.add_parser(
@@ -580,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("k", type=_nonneg_int)
     p.add_argument("l", type=_nonneg_int)
-    p.add_argument("--tol", type=float, default=1e-8, help="rel_error bound for PASS")
+    p.add_argument("--tol", type=_tolerance, default=1e-8, help="rel_error bound for PASS")
     p.set_defaults(handler=_cmd_beta_check)
 
     p = sub.add_parser(
@@ -608,7 +556,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # argparse already wrote usage/help
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.handler(args)
+        return _emit(args.handler(args), args.format)
     except BFileParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,10 +9,6 @@ import pytest
 
 from bernlab.bernoulli import (
     BernoulliTable,
-    Recurrence,
-    Split,
-    StirlingSum,
-    bernoulli,
     bernoulli_recurrence,
     bernoulli_split,
     bernoulli_stirling_sum,
@@ -180,32 +176,6 @@ class TestSplit:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             bernoulli_split(-1, 3)
-
-
-class TestDispatcher:
-    def test_recurrence_and_split_routes(self):
-        assert bernoulli(2, Recurrence()) == Fraction(1, 6)
-        assert bernoulli(2, Split(1, 1)) == Fraction(1, 6)
-        assert bernoulli(4, StirlingSum()) == Fraction(-1, 30)
-
-    def test_default_method_is_the_recurrence(self):
-        assert bernoulli(12) == Fraction(-691, 2730)
-
-    def test_split_pair_must_sum_to_n(self):
-        with pytest.raises(ValueError):
-            bernoulli(3, Split(0, 2))
-
-    def test_split_pair_must_be_nonnegative(self):
-        with pytest.raises(ValueError):
-            Split(-1, 4)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(TypeError):
-            bernoulli(3, "recurrence")
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(ValueError):
-            bernoulli(-4)
 
 
 class TestZetaNonpositive:

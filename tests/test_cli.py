@@ -9,6 +9,7 @@ errors.
 import csv
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bernlab import cli
 from bernlab.bernoulli import bernoulli_recurrence
 from bernlab.cli import (
     BenchMismatchError,
@@ -23,6 +25,7 @@ from bernlab.cli import (
     BFileEntry,
     BFileParseError,
     MAX_BENCH_SUM,
+    MAX_SIZE,
     bench_run,
     main,
     oeis_check,
@@ -215,6 +218,334 @@ POLYLOG_12_GOLDEN = {
 }
 
 
+# Golden stdout and exit code of one invocation of every subcommand in
+# every format, captured before the output layer was unified.  Only the
+# values that do not reproduce are masked: the quadrature's float
+# estimate and errors (their last bits follow the platform's libm) and
+# the bench timings.
+CLI_GOLDEN_ARGV = {
+    "bernoulli": ["bernoulli", "12", "--method", "split", "--m", "5"],
+    "stirling": ["stirling", "7", "3"],
+    "table": ["table", "bernoulli", "--max", "2"],
+    "identity": ["identity", "3", "5"],
+    "polylog": ["polylog", "3", "--at", "1/2"],
+    "verify-integral": ["verify-integral", "2", "2"],
+    "beta-check": ["beta-check", "2", "3"],
+    "oeis-check": ["oeis-check", "--numerators", NUMERATORS, "--denominators", DENOMINATORS, "--max", "1"],
+    "bench": ["bench", "--max-sum", "0"],
+}
+NOISY_FIELDS = {
+    "verify-integral": ("estimate", "abs_error", "rel_error"),
+    "beta-check": ("estimate", "abs_error", "rel_error"),
+    "bench": ("seconds",),
+}
+
+
+def mask_noisy(cmd, fmt, out):
+    """Replace the NOISY_FIELDS values of `cmd`'s output with '*'."""
+    keys = NOISY_FIELDS.get(cmd, ())
+    if not keys:
+        return out
+    if fmt == "json":
+        return re.sub(r'("(?:%s)": )[^,\n]+' % "|".join(keys), r"\1*", out)
+    if fmt == "csv":
+        header, *rows = out.splitlines()
+        cols = {header.split(",").index(k) for k in keys}
+        rows = [",".join("*" if i in cols else c for i, c in enumerate(r.split(","))) for r in rows]
+        return "\n".join([header, *rows]) + "\n"
+    if cmd == "bench":
+        return re.sub(r"\d\.\d{3}e[-+]\d\d", "*.***e-**", out)
+    return re.sub(r"(?m)^(estimate  = |abs_error = |rel_error = )\S+", r"\1*", out)
+
+
+CLI_GOLDEN = {
+    ("bernoulli", "plain"): (0, """\
+-691/2730
+"""),
+    ("bernoulli", "csv"): (0, """\
+n,value
+12,-691/2730
+"""),
+    ("bernoulli", "json"): (0, """\
+{
+  "n": 12,
+  "value": {
+    "num": "-691",
+    "den": "2730"
+  }
+}
+"""),
+    ("stirling", "plain"): (0, """\
+301
+"""),
+    ("stirling", "csv"): (0, """\
+n,k,value
+7,3,301
+"""),
+    ("stirling", "json"): (0, """\
+{
+  "n": 7,
+  "k": 3,
+  "value": "301"
+}
+"""),
+    ("table", "plain"): (0, """\
+B_0 = 1
+B_1 = -1/2
+B_2 = 1/6
+"""),
+    ("table", "csv"): (0, """\
+n,value
+0,1
+1,-1/2
+2,1/6
+"""),
+    ("table", "json"): (0, """\
+{
+  "max": 2,
+  "values": [
+    {
+      "n": 0,
+      "value": {
+        "num": "1",
+        "den": "1"
+      }
+    },
+    {
+      "n": 1,
+      "value": {
+        "num": "-1",
+        "den": "2"
+      }
+    },
+    {
+      "n": 2,
+      "value": {
+        "num": "1",
+        "den": "6"
+      }
+    }
+  ]
+}
+"""),
+    ("identity", "plain"): (0, """\
+B_8 = -1/30
+MATCH
+"""),
+    ("identity", "csv"): (0, """\
+m,n,index,split,recurrence,match
+3,5,8,-1/30,-1/30,true
+"""),
+    ("identity", "json"): (0, """\
+{
+  "m": 3,
+  "n": 5,
+  "index": 8,
+  "split": {
+    "num": "-1",
+    "den": "30"
+  },
+  "recurrence": {
+    "num": "-1",
+    "den": "30"
+  },
+  "match": true
+}
+"""),
+    ("polylog", "plain"): (0, """\
+Li_{-3}(-t) = (-t + 4*t^2 - t^3)/(1 + 4*t + 6*t^2 + 4*t^3 + t^4)
+value at t = 1/2: 2/27
+"""),
+    ("polylog", "csv"): (0, """\
+n,numerator,denominator,at,value
+3,-t + 4*t^2 - t^3,1 + 4*t + 6*t^2 + 4*t^3 + t^4,1/2,2/27
+"""),
+    ("polylog", "json"): (0, """\
+{
+  "n": 3,
+  "numerator": [
+    "0",
+    "-1",
+    "4",
+    "-1"
+  ],
+  "denominator": [
+    "1",
+    "4",
+    "6",
+    "4",
+    "1"
+  ],
+  "at": "1/2",
+  "value": {
+    "num": "2",
+    "den": "27"
+  }
+}
+"""),
+    ("verify-integral", "plain"): (0, """\
+m=2 n=2 panels=16 nodes=32
+estimate  = *
+expected  = -1/30 (-0.03333333333333333)
+abs_error = *
+rel_error = * (tol 1e-06)
+PASS
+"""),
+    ("verify-integral", "csv"): (0, """\
+m,n,estimate,expected,abs_error,rel_error,panels,nodes,status
+2,2,*,-1/30,*,*,16,32,PASS
+"""),
+    ("verify-integral", "json"): (0, """\
+{
+  "m": 2,
+  "n": 2,
+  "estimate": *,
+  "expected": {
+    "num": "-1",
+    "den": "30"
+  },
+  "abs_error": *,
+  "rel_error": *,
+  "panels": 16,
+  "nodes": 32,
+  "tol": 1e-06,
+  "status": "PASS"
+}
+"""),
+    ("beta-check", "plain"): (0, """\
+k=2 l=3 panels=16 nodes=32
+estimate  = *
+expected  = 1/60 (0.016666666666666666)
+abs_error = *
+rel_error = * (tol 1e-08)
+PASS
+"""),
+    ("beta-check", "csv"): (0, """\
+k,l,estimate,expected,abs_error,rel_error,panels,nodes,status
+2,3,*,1/60,*,*,16,32,PASS
+"""),
+    ("beta-check", "json"): (0, """\
+{
+  "k": 2,
+  "l": 3,
+  "estimate": *,
+  "expected": {
+    "num": "1",
+    "den": "60"
+  },
+  "abs_error": *,
+  "rel_error": *,
+  "panels": 16,
+  "nodes": 32,
+  "tol": 1e-08,
+  "status": "PASS"
+}
+"""),
+    ("oeis-check", "plain"): (0, """\
+n=0 PASS
+n=1 PASS
+2/2 PASS
+"""),
+    ("oeis-check", "csv"): (0, """\
+n,file_value,recurrence,split,status
+0,1,1,1,PASS
+1,-1/2,-1/2,-1/2,PASS
+"""),
+    ("oeis-check", "json"): (0, """\
+{
+  "max": 1,
+  "rows": [
+    {
+      "n": 0,
+      "file_value": {
+        "num": "1",
+        "den": "1"
+      },
+      "recurrence": {
+        "num": "1",
+        "den": "1"
+      },
+      "split": {
+        "num": "1",
+        "den": "1"
+      },
+      "ok": true
+    },
+    {
+      "n": 1,
+      "file_value": {
+        "num": "-1",
+        "den": "2"
+      },
+      "recurrence": {
+        "num": "-1",
+        "den": "2"
+      },
+      "split": {
+        "num": "-1",
+        "den": "2"
+      },
+      "ok": true
+    }
+  ],
+  "all_pass": true
+}
+"""),
+    ("bench", "plain"): (0, """\
+method           n  split_m       seconds  result_hash
+recurrence       0        -     *.***e-**  60b68d34e27ffb77
+stirling-sum     0        -     *.***e-**  60b68d34e27ffb77
+split            0        0     *.***e-**  60b68d34e27ffb77
+"""),
+    ("bench", "csv"): (0, """\
+method,n,split_m,seconds,result_hash
+recurrence,0,,*,60b68d34e27ffb77
+stirling-sum,0,,*,60b68d34e27ffb77
+split,0,0,*,60b68d34e27ffb77
+"""),
+    ("bench", "json"): (0, """\
+{
+  "max_sum": 0,
+  "rows": [
+    {
+      "method": "recurrence",
+      "n": 0,
+      "split_m": null,
+      "seconds": *,
+      "result_hash": "60b68d34e27ffb77"
+    },
+    {
+      "method": "stirling-sum",
+      "n": 0,
+      "split_m": null,
+      "seconds": *,
+      "result_hash": "60b68d34e27ffb77"
+    },
+    {
+      "method": "split",
+      "n": 0,
+      "split_m": 0,
+      "seconds": *,
+      "result_hash": "60b68d34e27ffb77"
+    }
+  ]
+}
+"""),
+}
+
+# `identity 3 5` with a split sum that is off by one, in each format.
+IDENTITY_MISMATCH_GOLDEN = {
+    "plain": "B_8 = 29/30\nMISMATCH (recurrence gives -1/30)\n",
+    "csv": "m,n,index,split,recurrence,match\n3,5,8,29/30,-1/30,false\n",
+    "json": (
+        '{\n  "m": 3,\n  "n": 5,\n  "index": 8,\n'
+        '  "split": {\n    "num": "29",\n    "den": "30"\n  },\n'
+        '  "recurrence": {\n    "num": "-1",\n    "den": "30"\n  },\n'
+        '  "match": false\n}\n'
+    ),
+}
+
+
 class TestBernoulliCommand:
     def test_plain_output_is_identical_across_methods(self, capsys):
         for n in range(61):
@@ -378,6 +709,17 @@ class TestQuadratureCommands:
         code, _, err = run_capture(capsys, "beta-check", "15", "15")
         assert code == 2 and "scoped" in err
 
+    @pytest.mark.parametrize("argv", [["verify-integral", "2", "2"], ["beta-check", "2", "3"]])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_tolerance_must_be_finite_and_non_negative(self, capsys, argv, tol):
+        code, out, err = run_capture(capsys, *argv, "--tol", tol)
+        assert (code, out) == (2, "")
+        assert "usage:" in err and "finite and non-negative" in err
+
+    def test_zero_tolerance_is_accepted(self, capsys):
+        code, out, _ = run_capture(capsys, "beta-check", "0", "0", "--tol", "0")
+        assert code in (0, 1) and "(tol 0)" in out
+
 
 class TestOeisCheckCommand:
     def test_shipped_fixtures_pass(self, capsys):
@@ -501,3 +843,53 @@ class TestEntryPoint:
             main()
         assert exc_info.value.code == 0
         assert capsys.readouterr().out == "-1/30\n"
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("cmd,fmt", sorted(CLI_GOLDEN))
+    def test_every_subcommand_in_every_format(self, capsys, cmd, fmt):
+        code, out, err = run_capture(capsys, *CLI_GOLDEN_ARGV[cmd], "--format", fmt)
+        assert (code, mask_noisy(cmd, fmt, out), err) == (*CLI_GOLDEN[cmd, fmt], "")
+
+    @pytest.mark.parametrize("fmt", sorted(IDENTITY_MISMATCH_GOLDEN))
+    def test_identity_mismatch_exits_one(self, capsys, monkeypatch, fmt):
+        real = cli.bernoulli_split
+        monkeypatch.setattr(cli, "bernoulli_split", lambda m, n: real(m, n) + 1)
+        code, out, err = run_capture(capsys, "identity", "3", "5", "--format", fmt)
+        assert (code, out, err) == (1, IDENTITY_MISMATCH_GOLDEN[fmt], "")
+
+
+class TestCostGuards:
+    """A size just above its limit exits 2 before any work starts: every
+    route the handlers would call is replaced by one that fails the test."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("work started past a cost guard")
+
+        for name in (
+            "bernoulli_recurrence", "bernoulli_split", "bernoulli_stirling_sum",
+            "stirling2", "stirling2_row", "polylog_neg_rf",
+        ):
+            monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.parametrize("argv", [
+        ["bernoulli", str(MAX_SIZE + 1)],
+        ["bernoulli", str(MAX_SIZE + 1), "--method", "stirling-sum"],
+        ["bernoulli", str(MAX_SIZE + 1), "--method", "split"],
+        ["stirling", str(MAX_SIZE + 1), "1"],
+        ["table", "bernoulli", "--max", str(MAX_SIZE + 1)],
+        ["identity", str(MAX_SIZE // 2), str(MAX_SIZE - MAX_SIZE // 2 + 1)],
+        ["polylog", str(MAX_SIZE + 1), "--at", "1/2"],
+    ])
+    def test_size_past_the_limit_exits_two(self, capsys, argv):
+        code, out, err = run_capture(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"is capped at {MAX_SIZE}, got {MAX_SIZE + 1}" in err
+
+    @pytest.mark.parametrize("max_sum", [MAX_BENCH_SUM + 1, 201])
+    def test_bench_sweep_past_the_limit_exits_two(self, capsys, max_sum):
+        code, out, err = run_capture(capsys, "bench", "--max-sum", str(max_sum))
+        assert (code, out) == (2, "")
+        assert f"capped at {MAX_BENCH_SUM}, got {max_sum}" in err
