@@ -3,16 +3,20 @@
 Each subcommand handler computes its result and returns one `Output`
 record: the plain-text lines, the CSV header and rows, the JSON object
 and the exit code.  `run` prints it through `_emit`, the only code that
-looks at `--format` (plain, csv or json).  Exit-code contract: 0 for
-success or PASS, 1 for a verification FAIL, 2 for usage, parse, or
-data errors.  Size arguments above `MAX_SIZE` (or a bench sweep above
-`MAX_BENCH_SUM`) are refused with exit 2 before any work starts.
+looks at `--format` (plain, csv or json).  The argument parser is built
+once per process, on the first `run` call, and reused by every later
+one.  Exit-code contract: 0 for success or PASS, 1 for a verification
+FAIL, 2 for usage, parse, or data errors.  Size arguments above
+`MAX_SIZE`, a bench sweep above `MAX_BENCH_SUM` and quadrature rules
+above `MAX_PANELS` or `MAX_NODES` are refused with exit 2 before any
+work starts.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -47,6 +51,8 @@ __all__ = [
     "BenchRow",
     "OeisRow",
     "MAX_BENCH_SUM",
+    "MAX_NODES",
+    "MAX_PANELS",
     "MAX_SIZE",
     "parse_bfile",
     "render_bfile",
@@ -58,11 +64,18 @@ __all__ = [
 ]
 
 # Largest size argument a subcommand accepts (bernoulli n, stirling n,
-# table --max, polylog n, identity m + n).  At the limit the slowest
-# routes take about 10 s and the Stirling triangle about 200 MB.
+# table --max, polylog n, identity m + n, oeis-check --max).  At the
+# limit the slowest routes take about 10 s and the Stirling triangle
+# about 200 MB.
 MAX_SIZE = 1000
 # Largest bench sweep; bench_run(60) takes about 1.4 s.
 MAX_BENCH_SUM = 60
+# Largest quadrature rule of verify-integral and beta-check.  Building a
+# Gauss-Legendre rule grows about as nodes^2 (256 nodes take about
+# 0.03 s, 1024 about 0.5 s), and each integrand evaluation about 5 us,
+# so the largest rule, 1024 panels of 256 nodes, takes about 1.5 s.
+MAX_PANELS = 1024
+MAX_NODES = 256
 
 
 def rational_json(q: Fraction) -> dict[str, str]:
@@ -301,9 +314,14 @@ def _report_output(report: QuadratureReport, tol: float, first: str, second: str
 # subcommand handlers
 
 
-def _check_size(name: str, value: int) -> None:
-    if value > MAX_SIZE:
-        raise ValueError(f"{name} is capped at {MAX_SIZE}, got {value}")
+def _check_size(name: str, value: int, limit: int = MAX_SIZE) -> None:
+    if value > limit:
+        raise ValueError(f"{name} is capped at {limit}, got {value}")
+
+
+def _check_rule(args: argparse.Namespace) -> None:
+    _check_size("--panels", args.panels, MAX_PANELS)
+    _check_size("--nodes", args.nodes, MAX_NODES)
 
 
 def _cmd_bernoulli(args: argparse.Namespace) -> Output:
@@ -375,16 +393,19 @@ def _cmd_polylog(args: argparse.Namespace) -> Output:
 
 
 def _cmd_verify_integral(args: argparse.Namespace) -> Output:
+    _check_rule(args)
     report = verify_integral(args.m, args.n, args.panels, args.nodes)
     return _report_output(report, args.tol, "m", "n")
 
 
 def _cmd_beta_check(args: argparse.Namespace) -> Output:
+    _check_rule(args)
     report = beta_quadrature_check(args.k, args.l, args.panels, args.nodes)
     return _report_output(report, args.tol, "k", "l")
 
 
 def _cmd_oeis_check(args: argparse.Namespace) -> Output:
+    _check_size("--max", args.max)
     numerators = parse_bfile(Path(args.numerators).read_text())
     denominators = parse_bfile(Path(args.denominators).read_text())
     rows = oeis_check(numerators, denominators, args.max)
@@ -465,6 +486,7 @@ def _fraction(text: str) -> Fraction:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for every subcommand; `run` builds one per process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("plain", "csv", "json"), default="plain", help="output format"
@@ -548,11 +570,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every `run` shares, built on the first call.
+
+    Sharing is safe because parsing leaves it unchanged: each call gets a
+    new Namespace, every default is immutable, and the handlers bound by
+    `set_defaults` look up the routes they call each time they run.
+    """
+    return build_parser()
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse argv and execute; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse already wrote usage/help
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -9,7 +9,9 @@ errors.
 import csv
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -17,7 +19,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bernlab import cli
+from bernlab import cli, quadrature
 from bernlab.bernoulli import bernoulli_recurrence
 from bernlab.cli import (
     BenchMismatchError,
@@ -25,6 +27,8 @@ from bernlab.cli import (
     BFileEntry,
     BFileParseError,
     MAX_BENCH_SUM,
+    MAX_NODES,
+    MAX_PANELS,
     MAX_SIZE,
     bench_run,
     main,
@@ -720,6 +724,14 @@ class TestQuadratureCommands:
         code, out, _ = run_capture(capsys, "beta-check", "0", "0", "--tol", "0")
         assert code in (0, 1) and "(tol 0)" in out
 
+    @pytest.mark.parametrize("panels,nodes", [(MAX_PANELS, 2), (1, MAX_NODES)])
+    def test_largest_rule_is_accepted(self, capsys, panels, nodes):
+        code, out, err = run_capture(
+            capsys, "beta-check", "2", "3", "--panels", str(panels), "--nodes", str(nodes)
+        )
+        assert (code, err) == (0, "")
+        assert f"panels={panels} nodes={nodes}" in out
+
 
 class TestOeisCheckCommand:
     def test_shipped_fixtures_pass(self, capsys):
@@ -870,9 +882,11 @@ class TestCostGuards:
 
         for name in (
             "bernoulli_recurrence", "bernoulli_split", "bernoulli_stirling_sum",
-            "stirling2", "stirling2_row", "polylog_neg_rf",
+            "stirling2", "stirling2_row", "polylog_neg_rf", "parse_bfile",
         ):
             monkeypatch.setattr(cli, name, refuse)
+        for name in ("gauss_legendre", "integrate_halfline"):
+            monkeypatch.setattr(quadrature, name, refuse)
 
     @pytest.mark.parametrize("argv", [
         ["bernoulli", str(MAX_SIZE + 1)],
@@ -882,6 +896,8 @@ class TestCostGuards:
         ["table", "bernoulli", "--max", str(MAX_SIZE + 1)],
         ["identity", str(MAX_SIZE // 2), str(MAX_SIZE - MAX_SIZE // 2 + 1)],
         ["polylog", str(MAX_SIZE + 1), "--at", "1/2"],
+        ["oeis-check", "--numerators", NUMERATORS, "--denominators", DENOMINATORS,
+         "--max", str(MAX_SIZE + 1)],
     ])
     def test_size_past_the_limit_exits_two(self, capsys, argv):
         code, out, err = run_capture(capsys, *argv)
@@ -893,3 +909,84 @@ class TestCostGuards:
         code, out, err = run_capture(capsys, "bench", "--max-sum", str(max_sum))
         assert (code, out) == (2, "")
         assert f"capped at {MAX_BENCH_SUM}, got {max_sum}" in err
+
+    @pytest.mark.parametrize("cmd", ["verify-integral", "beta-check"])
+    @pytest.mark.parametrize("flag,limit,value", [
+        ("--panels", MAX_PANELS, MAX_PANELS + 1),
+        ("--nodes", MAX_NODES, MAX_NODES + 1),
+        ("--nodes", MAX_NODES, 100000),
+    ])
+    def test_quadrature_rule_past_the_limit_exits_two(self, capsys, cmd, flag, limit, value):
+        code, out, err = run_capture(capsys, cmd, "2", "2", flag, str(value))
+        assert (code, out) == (2, "")
+        assert f"{flag} is capped at {limit}, got {value}" in err
+
+
+class TestSharedParser:
+    """Every `run` in a process parses with one parser, built on the first
+    call, so no request may leave anything in it that changes a later one."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    # Parse errors, help pages, guard refusals and a refused --tol.
+    OTHERS = [
+        ["bernoulli", "-1"],
+        ["stirling", "x", "1"],
+        ["identity", "3"],
+        ["identity", "3", "--format", "json"],
+        ["--help"],
+        ["verify-integral", "--help"],
+        ["bernoulli", str(MAX_SIZE + 1), "--method", "split"],
+        ["bench", "--max-sum", str(MAX_BENCH_SUM + 1), "--format", "csv"],
+        ["beta-check", "2", "3", "--nodes", str(MAX_NODES + 1)],
+        ["verify-integral", "2", "2", "--panels", "4", "--tol", "nan"],
+    ]
+    # Each subcommand with only its required arguments: its output changes
+    # if an option of an earlier request stuck in the parser.
+    PROBES = {**CLI_GOLDEN_ARGV, "bernoulli": ["bernoulli", "12"], "polylog": ["polylog", "3"]}
+
+    def test_requests_leave_nothing_behind(self, capsys):
+        def probe(cmd):
+            code, out, err = run_capture(capsys, *self.PROBES[cmd])
+            return code, mask_noisy(cmd, "plain", out), err
+
+        first_probe, first_other = {}, {}
+        for cmd in self.PROBES:
+            cli._parser.cache_clear()
+            first_probe[cmd] = probe(cmd)
+        for argv in self.OTHERS:
+            cli._parser.cache_clear()
+            first_other[tuple(argv)] = run_capture(capsys, *argv)
+        cli._parser.cache_clear()
+        golden = sorted(CLI_GOLDEN)
+        for i, (cmd, fmt) in enumerate(golden + golden[::-1]):
+            code, out, err = run_capture(capsys, *CLI_GOLDEN_ARGV[cmd], "--format", fmt)
+            assert (code, mask_noisy(cmd, fmt, out), err) == (*CLI_GOLDEN[cmd, fmt], ""), (i, cmd, fmt)
+            argv = self.OTHERS[i % len(self.OTHERS)]
+            assert run_capture(capsys, *argv) == first_other[tuple(argv)], (i, argv)
+            for c in {cmd, argv[0]} & self.PROBES.keys():
+                assert probe(c) == first_probe[c], (i, c)
+
+    def test_run_builds_the_parser_once(self, capsys, monkeypatch):
+        real = cli.build_parser
+        calls = []
+        monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or real())
+        for n in range(20):
+            assert run_capture(capsys, "bernoulli", str(n % 5))[0] == 0
+        assert len(calls) == 1
+
+    def test_import_builds_no_parser(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = "import bernlab.cli as c; print(c._parser.cache_info().currsize)"
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert (proc.returncode, proc.stdout) == (0, "0\n")
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
