@@ -486,7 +486,7 @@ def _fraction(text: str) -> Fraction:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """A new parser for every subcommand; `run` builds one per process."""
+    """Return a new parser with every subcommand; `run` builds one per process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("plain", "csv", "json"), default="plain", help="output format"
