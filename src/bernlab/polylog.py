@@ -184,12 +184,34 @@ class RationalFunction:
 
 
 def rf_eval_exact(f: RationalFunction, t) -> Fraction:
-    """Exact evaluation at a rational point; poles raise ZeroDivisionError."""
+    """Exact evaluation at a rational point; poles raise ZeroDivisionError.
+
+    With t = p/q in lowest terms and d the larger degree of the two
+    parts, q^d * f(t) = N_h / D_h, where each part becomes the
+    homogeneous integer form sum_i c_i p^i q^(d-i).  Both forms run
+    Horner in p over one shared list of powers of q, so the only
+    Fraction built (and the only gcd taken) is the result.
+    """
     t = Fraction(t)
-    dv = f.denominator.evaluate(t)
-    if dv == 0:
+    p, q = t.numerator, t.denominator
+    num, den = f.numerator.coeffs, f.denominator.coeffs
+    d = max(len(num), len(den)) - 1
+    q_powers = [1]
+    for _ in range(d):
+        q_powers.append(q_powers[-1] * q)
+
+    def form(coeffs: tuple) -> int:
+        # c_i is scaled by q^(d-i), not q^(deg-i), so the shorter part
+        # comes out padded to degree d as well.
+        acc = 0
+        for c, scale in zip(reversed(coeffs), q_powers[d + 1 - len(coeffs):]):
+            acc = acc * p + c * scale
+        return acc
+
+    den_h = form(den)
+    if den_h == 0:
         raise ZeroDivisionError(f"pole of rational function at t = {t}")
-    return f.numerator.evaluate(t) / dv
+    return Fraction(form(num), den_h)
 
 
 def rf_eval_float(f: RationalFunction, t: float) -> float:
@@ -261,6 +283,14 @@ def polylog_neg_rf(n: int) -> RationalFunction:
     return polylog_stirling_form(n)
 
 
+# The order polylog_oracle built last and its function: the loop starts
+# from there whenever it can, so orders asked for one at a time cost one
+# step of the recurrence each.  Any start gives the same result; the
+# pair is read once per call, so a concurrent caller only moves it.
+_ORACLE_BASE = (0, RationalFunction(Polynomial([0, 1]), Polynomial([1, -1])))
+_oracle_front = _ORACLE_BASE
+
+
 @lru_cache(maxsize=None)
 def polylog_oracle(n: int) -> RationalFunction:
     """Li_{-n}(x) in the variable x, from the derivative recurrence
@@ -270,19 +300,24 @@ def polylog_oracle(n: int) -> RationalFunction:
     With Li_{-(n-1)} = P/(1-x)^n the quotient rule gives
     Li_{-n} = x*[(1-x)*P' + n*P] / (1-x)^(n+1), so the recurrence runs
     on numerators alone and each step multiplies the denominator by
-    (1-x).  Shares no code with the Stirling-sum construction; comparing
-    the two (after substituting x = -t) is the module's central
-    cross-check.
+    (1-x).  It runs as a loop from the order built last (or from
+    order 0), so no order is too deep for the interpreter's stack.
+    Shares no code with the Stirling-sum construction; comparing the
+    two (after substituting x = -t) is the module's central cross-check.
     """
+    global _oracle_front
     if n < 0:
         raise ValueError(f"polylog order must be non-negative, got {n}")
-    if n == 0:
-        return RationalFunction(Polynomial([0, 1]), Polynomial([1, -1]))
-    prev = polylog_oracle(n - 1)
-    p = prev.numerator.coeffs + (0,)
-    q = prev.denominator.coeffs + (0,)
-    # x^i collects i*p_i from x*P' and (n-i+1)*p_{i-1} from -x^2*P' + n*x*P;
-    # the new denominator's x^i coefficient is q_i - q_{i-1}.
-    num = [i * p[i] + (n - i + 1) * p[i - 1] if i else 0 for i in range(len(p))]
-    den = [q[i] - q[i - 1] if i else q[0] for i in range(len(q))]
-    return RationalFunction(Polynomial(num), Polynomial(den))
+    front = _oracle_front
+    k, f = front if front[0] <= n else _ORACLE_BASE
+    p, q = list(f.numerator.coeffs), list(f.denominator.coeffs)
+    for j in range(k + 1, n + 1):
+        p.append(0)
+        q.append(0)
+        # x^i collects i*p_i from x*P' and (j-i+1)*p_{i-1} from -x^2*P' + j*x*P;
+        # the new denominator's x^i coefficient is q_i - q_{i-1}.
+        p = [i * p[i] + (j - i + 1) * p[i - 1] if i else 0 for i in range(len(p))]
+        q = [q[i] - q[i - 1] if i else q[0] for i in range(len(q))]
+    f = RationalFunction(Polynomial(p), Polynomial(q))
+    _oracle_front = (n, f)
+    return f

@@ -222,6 +222,12 @@ POLYLOG_12_GOLDEN = {
 }
 
 
+# Golden stdout of `polylog 40 --at=-7/3` in each format, one file per
+# format: order 40's value at a negative non-integer point has a
+# 65-digit numerator over 4^22.  (`--at -7/3`, with a space, is read by
+# argparse as an option, so the point is attached with "=".)
+POLYLOG_40_GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
 # Golden stdout and exit code of one invocation of every subcommand in
 # every format, captured before the output layer was unified.  Only the
 # values that do not reproduce are masked: the quadrature's float
@@ -663,6 +669,12 @@ class TestOtherValueCommands:
     def test_polylog_order_12_golden(self, capsys, fmt, at):
         argv = ["polylog", "12", "--format", fmt] + ([] if at is None else ["--at", at])
         assert run_capture(capsys, *argv) == (0, POLYLOG_12_GOLDEN[fmt, at], "")
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_polylog_order_40_at_negative_point_golden(self, capsys, fmt):
+        golden = (POLYLOG_40_GOLDEN_DIR / f"polylog_40_at_-7_3.{fmt}").read_text()
+        argv = ["polylog", "40", "--at=-7/3", "--format", fmt]
+        assert run_capture(capsys, *argv) == (0, golden, "")
 
 
 class TestQuadratureCommands:

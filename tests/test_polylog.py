@@ -7,11 +7,17 @@ pole t = -1, and t -> 1/t maps Li_{-n}(-t) to (-1)^(n+1) Li_{-n}(-t)
 coefficient for coefficient.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
+
+import bernlab.polylog
 
 from bernlab.polylog import (
     Polynomial,
@@ -136,6 +142,30 @@ class TestOracle:
         ]
         assert Polynomial(diff) == stirling.denominator
 
+    def test_orders_in_any_sequence_match_the_stirling_form(self):
+        # The loop starts from the order built last when it can, and
+        # from order 0 when asked for a lower one.  polylog_neg_rf is the
+        # true Li_{-n}(-t) at every order, 0 included.
+        polylog_oracle.cache_clear()
+        for n in (30, 5, 6, 31, 0, 12, 12, 40, 1):
+            assert polylog_oracle(n).negate_variable() == polylog_neg_rf(n), n
+
+    def test_cold_order_1000_in_a_fresh_process(self):
+        # A recursive oracle ran out of stack near order 500.
+        src = str(Path(bernlab.polylog.__file__).resolve().parents[1])
+        code = (
+            "from math import comb, factorial\n"
+            "from bernlab.polylog import polylog_oracle\n"
+            "f = polylog_oracle(1000)\n"
+            "den = tuple((-1) ** i * comb(1001, i) for i in range(1002))\n"
+            "print(f.denominator.coeffs == den, sum(f.numerator.coeffs) == factorial(1000))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True True\n", "")
+
     def test_exact_evaluation_agrees_at_rational_points(self):
         for n in range(16):
             f = polylog_neg_rf(n)
@@ -176,6 +206,76 @@ class TestEvaluation:
     def test_float_near_pole_rejected(self):
         with pytest.raises(ZeroDivisionError):
             rf_eval_float(polylog_neg_rf(1), -1.0 + 1e-14)
+
+
+def horner_reference(f, t):
+    """f(t) by Horner in Fractions; calls neither rf_eval_exact nor Polynomial.evaluate."""
+    t = Fraction(t)
+
+    def value(coeffs):
+        acc = Fraction(0)
+        for c in reversed(coeffs):
+            acc = acc * t + c
+        return acc
+
+    return value(f.numerator.coeffs) / value(f.denominator.coeffs)
+
+
+BIG = 10**12
+# Ints, a string, a float, negative p/q and p, q up to 10^12; no pole
+# of the functions below lies on the grid.
+EVAL_POINTS = (
+    0, 1, 2, "3/7", 0.25,
+    Fraction(-5, 3), Fraction(-1, 2), Fraction(-7, 11),
+    Fraction(BIG - 11, BIG), Fraction(1, BIG), Fraction(BIG, 7),
+    Fraction(-BIG, BIG - 1), Fraction(-(BIG - 39), 999999999989),
+)
+HAND_BUILT = (
+    RationalFunction(
+        Polynomial([Fraction(1, 2), Fraction(-3, 4), 2]), Polynomial([Fraction(5, 4), 1])
+    ),
+    RationalFunction(Polynomial(), Polynomial([3, 1])),
+    # numerator of higher degree than the denominator
+    RationalFunction(Polynomial([1, -2, 0, 5, 7]), Polynomial([2, 1])),
+    RationalFunction(Polynomial([0, 0, 0, -4])),
+)
+
+
+class TestExactEvaluationInIntegers:
+    """rf_eval_exact against a Horner run in Fractions."""
+
+    @staticmethod
+    def assert_matches_reference(f, label):
+        for t in EVAL_POINTS:
+            got = rf_eval_exact(f, t)
+            assert type(got) is Fraction, (label, t)
+            assert got == horner_reference(f, t), (label, t)
+
+    @pytest.mark.parametrize("n", range(61))
+    def test_polylogs(self, n):
+        self.assert_matches_reference(polylog_neg_rf(n), ("neg_rf", n))
+        self.assert_matches_reference(rf_compose_reciprocal(polylog_neg_rf(n)), ("compose", n))
+        oracle = polylog_oracle(n)
+        for t in EVAL_POINTS:
+            if Fraction(t) != 1:
+                assert rf_eval_exact(oracle, t) == horner_reference(oracle, t), ("oracle", n, t)
+
+    @pytest.mark.parametrize("index", range(len(HAND_BUILT)))
+    def test_hand_built(self, index):
+        self.assert_matches_reference(HAND_BUILT[index], index)
+
+    def test_zero_numerator_gives_zero(self):
+        assert rf_eval_exact(HAND_BUILT[1], Fraction(-BIG, 3)) == 0
+
+    @pytest.mark.parametrize("n", range(0, 61, 6))
+    def test_poles_raise(self, n):
+        for f, pole in (
+            (polylog_neg_rf(n), -1),
+            (rf_compose_reciprocal(polylog_neg_rf(n)), Fraction(-1)),
+            (polylog_oracle(n), "1"),
+        ):
+            with pytest.raises(ZeroDivisionError, match="pole of rational function at t = "):
+                rf_eval_exact(f, pole)
 
 
 class TestComposeReciprocal:
