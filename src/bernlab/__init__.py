@@ -36,7 +36,6 @@ from .polylog import (
     polylog_stirling_form,
     rf_compose_reciprocal,
     rf_eval_exact,
-    rf_eval_float,
 )
 from .quadrature import (
     MAX_BETA_SUM,
@@ -77,7 +76,6 @@ __all__ = [
     "polylog_stirling_form",
     "rf_compose_reciprocal",
     "rf_eval_exact",
-    "rf_eval_float",
     "stirling2",
     "stirling2_bruteforce",
     "stirling2_row",

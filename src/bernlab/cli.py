@@ -20,6 +20,7 @@ import functools
 import hashlib
 import json
 import math
+import re
 import statistics
 import sys
 import time
@@ -72,8 +73,9 @@ MAX_SIZE = 1000
 MAX_BENCH_SUM = 60
 # Largest quadrature rule of verify-integral and beta-check.  Building a
 # Gauss-Legendre rule grows about as nodes^2 (256 nodes take about
-# 0.03 s, 1024 about 0.5 s), and each integrand evaluation about 5 us,
-# so the largest rule, 1024 panels of 256 nodes, takes about 1.5 s.
+# 0.03 s, 1024 about 0.5 s), and each integrand evaluation about 2 us
+# at m+n = 12, so the largest rule, 1024 panels of 256 nodes, takes
+# about 0.6 s.
 MAX_PANELS = 1024
 MAX_NODES = 256
 
@@ -531,6 +533,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("n", type=_nonneg_int)
     p.add_argument("--at", type=_fraction, default=None, help="also evaluate exactly at t")
+    # argparse reads "-..." as an option unless it looks like a negative
+    # integer or decimal; let -p/q through too, so `--at -7/3` needs no "=".
+    p._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
     p.set_defaults(handler=_cmd_polylog)
 
     p = sub.add_parser(

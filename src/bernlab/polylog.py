@@ -35,21 +35,14 @@ from typing import Iterable
 from .combinatorics import stirling2_row
 
 __all__ = [
-    "DENOMINATOR_FLOOR",
     "Polynomial",
     "RationalFunction",
     "polylog_stirling_form",
     "polylog_neg_rf",
     "polylog_oracle",
     "rf_eval_exact",
-    "rf_eval_float",
     "rf_compose_reciprocal",
 ]
-
-# |denominator(t)| below this is treated as sitting on a pole when
-# evaluating in floating point.
-DENOMINATOR_FLOOR = 1e-12
-
 
 class Polynomial:
     """Univariate polynomial with exact coefficients.
@@ -90,19 +83,6 @@ class Polynomial:
     def negate_variable(self) -> "Polynomial":
         """p(-x) as a polynomial in x: flip the sign of odd coefficients."""
         return Polynomial(-c if i % 2 else c for i, c in enumerate(self.coeffs))
-
-    def evaluate(self, x):
-        """Exact Horner evaluation."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def evaluate_float(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
-        return acc
 
     def render(self, var: str = "x") -> str:
         if not self.coeffs:
@@ -212,19 +192,6 @@ def rf_eval_exact(f: RationalFunction, t) -> Fraction:
     if den_h == 0:
         raise ZeroDivisionError(f"pole of rational function at t = {t}")
     return Fraction(form(num), den_h)
-
-
-def rf_eval_float(f: RationalFunction, t: float) -> float:
-    """Horner evaluation in double precision.
-
-    Refuses to divide when |denominator(t)| falls under
-    DENOMINATOR_FLOOR, which on this package's functions only happens
-    next to the pole at t = -1.
-    """
-    dv = f.denominator.evaluate_float(t)
-    if abs(dv) < DENOMINATOR_FLOOR:
-        raise ZeroDivisionError(f"denominator underflow near a pole at t = {t}")
-    return f.numerator.evaluate_float(t) / dv
 
 
 def rf_compose_reciprocal(f: RationalFunction) -> RationalFunction:

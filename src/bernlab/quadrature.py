@@ -22,7 +22,7 @@ from typing import Callable
 
 from .bernoulli import bernoulli_recurrence
 from .exact_arith import beta_integer
-from .polylog import RationalFunction, polylog_neg_rf, rf_compose_reciprocal, rf_eval_float
+from .polylog import polylog_neg_rf
 
 __all__ = [
     "DEFAULT_PANELS",
@@ -41,10 +41,12 @@ __all__ = [
 DEFAULT_PANELS = 16
 DEFAULT_NODES = 32
 
-# Precision scope caps.  Beyond m+n = 12 the alternating Stirling
-# coefficients cost enough cancellation in double precision that the
-# desk-scale tolerances below stop being honest; the Beta integrands are
-# tamer and keep a wider margin.
+# Precision scope caps.  The float integrand is built from the polylog
+# numerators, whose coefficients alternate in sign and grow fast with the
+# order, so beyond m+n = 12 an unbalanced pair loses enough to
+# cancellation (rel error 5e-4 at (0, 30)) that the desk-scale
+# tolerances stop being honest; the Beta integrands are tamer and keep a
+# wider margin.
 MAX_IDENTITY_SUM = 12
 MAX_BETA_SUM = 20
 
@@ -132,19 +134,41 @@ def integrate_halfline(
 
 
 @lru_cache(maxsize=None)
-def _integrand_factors(m: int, n: int) -> tuple[RationalFunction, RationalFunction]:
-    """(Li_{-m}(-1/t), Li_{-n}(-t)) as rational functions of t, built once."""
-    return rf_compose_reciprocal(polylog_neg_rf(m)), polylog_neg_rf(n)
+def _numerator_floats(n: int) -> tuple[float, ...]:
+    """a_1..a_(n+1) as floats, where Li_{-n}(-t) = sum_i a_i t^i / (1+t)^(n+1)."""
+    coeffs = polylog_neg_rf(n).numerator.coeffs[1:]
+    return tuple(map(float, coeffs)) + (0.0,) * (n + 1 - len(coeffs))
+
+
+def _form(coeffs: tuple[float, ...], x: float, y: float) -> float:
+    """sum_j c_j x^j y^(d-j) with d = len(coeffs) - 1, for x, y > 0."""
+    if x > y:
+        coeffs, x, y = coeffs[::-1], y, x
+    acc, r = 0.0, x / y
+    for c in reversed(coeffs):
+        acc = acc * r + c
+    return acc * y ** (len(coeffs) - 1)
 
 
 def integrand(m: int, n: int, t: float) -> float:
-    """Value of Li_{-m}(-1/t) * Li_{-n}(-t) / t at a point t > 0."""
+    """Value of Li_{-m}(-1/t) * Li_{-n}(-t) / t at a point t > 0.
+
+    With u = t/(1+t) and v = 1/(1+t), each term a_i t^i / (1+t)^(n+1)
+    of Li_{-n}(-t) is a_i u^i v^(n+1-i), so Li_{-n}(-t) = u * L_n(u, v)
+    for the form L_n(u, v) = sum_{i>=1} a_i u^(i-1) v^(n+1-i) of degree
+    n.  Replacing t by 1/t swaps u and v, so Li_{-m}(-1/t) = v * L_m(v, u),
+    and since u*v/t = v^2 the integrand is L_n(u, v) * L_m(v, u) * v^2.
+    Each form runs Horner in whichever of u/v = t and v/u = 1/t is at
+    most 1 and is then scaled by v^n or u^n (both at most 1), so no
+    intermediate overflows for any finite t > 0 -- unlike powers of t
+    itself, which reach inf, or inf/inf = nan, at large t.
+    """
     if m < 0 or n < 0:
         raise ValueError(f"orders must be non-negative, got ({m}, {n})")
     if t <= 0:
         raise ValueError(f"integrand is defined on t > 0, got t = {t}")
-    left, right = _integrand_factors(m, n)
-    return rf_eval_float(left, t) * rf_eval_float(right, t) / t
+    u, v = t / (1.0 + t), 1.0 / (1.0 + t)
+    return _form(_numerator_floats(n), u, v) * _form(_numerator_floats(m), v, u) * v * v
 
 
 def expected_integral_value(m: int, n: int) -> Fraction:

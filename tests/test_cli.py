@@ -224,8 +224,8 @@ POLYLOG_12_GOLDEN = {
 
 # Golden stdout of `polylog 40 --at=-7/3` in each format, one file per
 # format: order 40's value at a negative non-integer point has a
-# 65-digit numerator over 4^22.  (`--at -7/3`, with a space, is read by
-# argparse as an option, so the point is attached with "=".)
+# 65-digit numerator over 4^22.  `--at -7/3`, with a space, must print
+# the same.
 POLYLOG_40_GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 # Golden stdout and exit code of one invocation of every subcommand in
@@ -659,11 +659,12 @@ class TestOtherValueCommands:
 
     def test_polylog_pole_is_a_data_error(self, capsys):
         code, _, err = run_capture(capsys, "polylog", "2", "--at", "-1")
-        assert code == 2 and "error" in err
+        assert code == 2 and "pole" in err
 
     def test_polylog_bad_rational_rejected(self, capsys):
         assert run_capture(capsys, "polylog", "2", "--at", "abc")[0] == 2
         assert run_capture(capsys, "polylog", "2", "--at", "1/0")[0] == 2
+        assert run_capture(capsys, "polylog", "2", "--at", "-x")[0] == 2
 
     @pytest.mark.parametrize("fmt,at", sorted(POLYLOG_12_GOLDEN, key=str))
     def test_polylog_order_12_golden(self, capsys, fmt, at):
@@ -674,6 +675,12 @@ class TestOtherValueCommands:
     def test_polylog_order_40_at_negative_point_golden(self, capsys, fmt):
         golden = (POLYLOG_40_GOLDEN_DIR / f"polylog_40_at_-7_3.{fmt}").read_text()
         argv = ["polylog", "40", "--at=-7/3", "--format", fmt]
+        assert run_capture(capsys, *argv) == (0, golden, "")
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_polylog_negative_fraction_as_separate_argument(self, capsys, fmt):
+        golden = (POLYLOG_40_GOLDEN_DIR / f"polylog_40_at_-7_3.{fmt}").read_text()
+        argv = ["polylog", "40", "--at", "-7/3", "--format", fmt]
         assert run_capture(capsys, *argv) == (0, golden, "")
 
 

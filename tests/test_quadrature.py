@@ -10,6 +10,7 @@ division by t, synthetic division by 1 + t) lives here, on plain
 integer coefficient lists.
 """
 
+import math
 from fractions import Fraction
 from math import comb, factorial
 
@@ -23,6 +24,7 @@ from bernlab.polylog import (
     RationalFunction,
     polylog_neg_rf,
     rf_compose_reciprocal,
+    rf_eval_exact,
 )
 from bernlab.quadrature import (
     DEFAULT_NODES,
@@ -39,6 +41,8 @@ from bernlab.quadrature import (
 )
 
 P_T = Polynomial([0, 1])
+# Every order pair verify_integral accepts.
+IN_SCOPE = [(m, n) for m in range(MAX_IDENTITY_SUM + 1) for n in range(MAX_IDENTITY_SUM + 1 - m)]
 
 
 def one_plus_t(e: int) -> Polynomial:
@@ -211,8 +215,6 @@ class TestIntegrateHalfline:
         )
 
     def test_exponential_decay(self):
-        import math
-
         assert integrate_halfline(lambda t: math.exp(-t)) == pytest.approx(1.0, abs=1e-9)
 
     def test_bad_panel_count_rejected(self):
@@ -227,14 +229,14 @@ class TestIntegrand:
         assert integrand(1, 1, 2.0) == pytest.approx(2 / 81, abs=1e-15)
 
     def test_matches_the_exact_rational_function(self):
-        from bernlab.polylog import rf_eval_exact
-
-        for m, n in ((0, 2), (2, 3), (4, 1)):
+        # The extreme points are where powers of t overflow: the value
+        # must still come out finite (at 1e300 it underflows to 0).
+        for m, n in IN_SCOPE:
             rf = identity_integrand_rf(m, n)
-            for t in (0.5, 1.0, 3.0):
-                assert integrand(m, n, t) == pytest.approx(
-                    float(rf_eval_exact(rf, Fraction(t))), rel=1e-13
-                ), (m, n, t)
+            for t in (1e-300, 1e-30, 1e-3, 0.1, 0.7, 1.0, 3.3, 50.0, 1e4, 1e30, 1e300):
+                value = integrand(m, n, t)
+                assert math.isfinite(value), (m, n, t, value)
+                assert value == pytest.approx(float(rf_eval_exact(rf, Fraction(t))), rel=1e-13), (m, n, t)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -288,6 +290,12 @@ class TestVerifyIntegral:
             for n in range(7 - m):
                 report = verify_integral(m, n)
                 assert report.rel_error <= 1e-10, (m, n, report.rel_error)
+
+    @pytest.mark.parametrize("panels,nodes", [(16, 32), (8, 64), (32, 16)])
+    def test_whole_scope_on_each_benchmark_rule(self, panels, nodes):
+        for m, n in IN_SCOPE:
+            report = verify_integral(m, n, panels, nodes)
+            assert report.rel_error <= 1e-12, (m, n, panels, nodes, report.rel_error)
 
     def test_symmetric_orders_agree(self):
         for m, n in ((0, 3), (1, 4), (2, 5)):
