@@ -534,8 +534,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=_nonneg_int)
     p.add_argument("--at", type=_fraction, default=None, help="also evaluate exactly at t")
     # argparse reads "-..." as an option unless it looks like a negative
-    # integer or decimal; let -p/q through too, so `--at -7/3` needs no "=".
-    p._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+    # integer or decimal; take every "-<digit>" or "-.<digit>" as a value,
+    # so `--at -7/3` and `--at -1e3` need no "=".
+    p._negative_number_matcher = re.compile(r"^-\.?\d")
     p.set_defaults(handler=_cmd_polylog)
 
     p = sub.add_parser(
