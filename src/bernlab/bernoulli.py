@@ -14,7 +14,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from math import lcm
-from operator import add, mul
+from operator import add
 
 from .combinatorics import stirling2_row
 
@@ -126,28 +126,37 @@ def bernoulli_split(m: int, n: int) -> Fraction:
     k! l! / (k+l+1)!, so the sum sits over the common denominator
     (m+n+1)! and accumulates in pure integer arithmetic; one Fraction is
     built at the end.  With a_k = (-1)^k (k!)^2 S(n,k) and
-    b_l = (-1)^l (l!)^2 S(m,l), the k-th factor is pulled out of the
-    inner sum,
+    b_l = (-1)^l (l!)^2 S(m,l) the numerator is
 
         acc = sum_k a_k * sum_l b_l * (m+n+1)!/(k+l+1)!,
 
-    so each (k, l) term costs one big-integer multiply, not two.
+    and (m+n+1)!/(k+l+1)! is the product of i over k+l+2 <= i <= m+n+1.
+    Splitting that product at k+m+1 nests two Horner schemes whose
+    multipliers are the factors i themselves, all at most m+n+1:
+
+        T_k = sum_l b_l * prod_{i=k+l+2}^{k+m+1} i,  by t = t*i + b_l
+              for i = k+1, ..., k+m+1;
+        acc = acc * (k+m+1) + a_k * T_k              for k = 0, ..., n.
+
+    So each (k, l) step multiplies a big integer by a small one, and
+    each k costs one big-by-big multiply, a_k * T_k.
     """
     if m < 0 or n < 0:
         raise ValueError(f"split indices must be non-negative, got ({m}, {n})")
     fact = [1] * (m + n + 2)
     for i in range(1, m + n + 2):
         fact[i] = fact[i - 1] * i
-    den = fact[m + n + 1]
-    scale = [den // fact[j + 1] for j in range(m + n + 1)]  # (m+n+1)!/(j+1)!
-    # term = (-1)^(k+l) * (k!)^2 S(n,k) * (l!)^2 S(m,l) * scale[k+l] / den
     a = [(-1) ** k * fact[k] * fact[k] * s for k, s in enumerate(stirling2_row(n))]
     b = [(-1) ** l * fact[l] * fact[l] * s for l, s in enumerate(stirling2_row(m))]
     acc = 0
     for k, ak in enumerate(a):
+        acc *= k + m + 1
         if ak:
-            acc += ak * sum(map(mul, b, scale[k : k + m + 1]))
-    return Fraction(acc, den)
+            t = 0
+            for i, bl in zip(range(k + 1, k + m + 2), b):
+                t = t * i + bl
+            acc += ak * t
+    return Fraction(acc, fact[m + n + 1])
 
 
 def zeta_nonpositive(s: int) -> Fraction:

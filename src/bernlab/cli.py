@@ -66,10 +66,11 @@ __all__ = [
 
 # Largest size argument a subcommand accepts (bernoulli n, stirling n,
 # table --max, polylog n, identity m + n, oeis-check --max).  At the
-# limit the slowest routes take about 10 s and the Stirling triangle
-# about 200 MB.
+# limit the slowest route is polylog_neg_rf(1000), about 12 s; every
+# Bernoulli route, the split (500, 500) included, takes under 1 s, and
+# the Stirling triangle holds about 200 MB.
 MAX_SIZE = 1000
-# Largest bench sweep; bench_run(60) takes about 1.4 s.
+# Largest bench sweep; bench_run(60) takes about 1.0 s.
 MAX_BENCH_SUM = 60
 # Largest quadrature rule of verify-integral and beta-check.  Building a
 # Gauss-Legendre rule grows about as nodes^2 (256 nodes take about

@@ -133,9 +133,19 @@ def integrate_halfline(
     return total
 
 
+# Largest polylog order whose numerator coefficients all fit a double: the
+# largest coefficient of order 172 exceeds 2^1024.
+_MAX_FLOAT_ORDER = 171
+
+
 @lru_cache(maxsize=None)
 def _numerator_floats(n: int) -> tuple[float, ...]:
     """a_1..a_(n+1) as floats, where Li_{-n}(-t) = sum_i a_i t^i / (1+t)^(n+1)."""
+    if n > _MAX_FLOAT_ORDER:
+        raise ValueError(
+            f"integrand orders are limited to {_MAX_FLOAT_ORDER}, the largest whose "
+            f"numerator coefficients fit a double, got {n}"
+        )
     coeffs = polylog_neg_rf(n).numerator.coeffs[1:]
     return tuple(map(float, coeffs)) + (0.0,) * (n + 1 - len(coeffs))
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bernlab.bernoulli import (
     BernoulliTable,
@@ -131,6 +132,19 @@ class TestStirlingSum:
             bernoulli_stirling_sum(-2)
 
 
+def literal_split(m, n):
+    """The split double sum with one Fraction per term, denominator
+    (k+l+1) * C(k+l, l) as printed."""
+    return sum(
+        Fraction(
+            (-1) ** (k + l) * factorial(k) * factorial(l) * stirling2(n, k) * stirling2(m, l),
+            (k + l + 1) * comb(k + l, l),
+        )
+        for k in range(n + 1)
+        for l in range(m + 1)
+    )
+
+
 class TestSplit:
     def test_examples(self):
         assert bernoulli_split(0, 0) == 1
@@ -154,24 +168,26 @@ class TestSplit:
                 assert bernoulli_split(m, n) == bernoulli_recurrence(m + n), (m, n)
 
     def test_matches_literal_formula(self):
-        # one Fraction per term, denominator (k+l+1) * C(k+l, l) as printed
-        def literal(m, n):
-            return sum(
-                Fraction(
-                    (-1) ** (k + l) * factorial(k) * factorial(l) * stirling2(n, k) * stirling2(m, l),
-                    (k + l + 1) * comb(k + l, l),
-                )
-                for k in range(n + 1)
-                for l in range(m + 1)
-            )
-
         for total in range(25):
             for m in range(total + 1):
-                assert bernoulli_split(m, total - m) == literal(m, total - m), (m, total - m)
+                assert bernoulli_split(m, total - m) == literal_split(m, total - m), (m, total - m)
 
-    @pytest.mark.parametrize("m, n", [(0, 250), (250, 0), (3, 240), (125, 125)])
+    def test_matches_literal_formula_on_skewed_pairs(self):
+        # m <= 2 leaves the inner Horner one to three steps, n <= 2 the outer one
+        for short in range(3):
+            for long in range(61):
+                assert bernoulli_split(short, long) == literal_split(short, long), (short, long)
+                assert bernoulli_split(long, short) == literal_split(long, short), (long, short)
+
+    @pytest.mark.parametrize("m, n", [(0, 250), (250, 0), (3, 240), (125, 125), (500, 500)])
     def test_matches_recurrence_at_large_pairs(self, m, n):
         assert bernoulli_split(m, n) == bernoulli_recurrence(m + n)
+
+    @given(st.integers(0, 120).flatmap(lambda total: st.tuples(st.integers(0, total), st.just(total))))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_recurrence_on_random_pairs(self, pair):
+        m, total = pair
+        assert bernoulli_split(m, total - m) == bernoulli_recurrence(total)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

@@ -639,6 +639,21 @@ class TestOtherValueCommands:
         assert rows[0] == ["m", "n", "index", "split", "recurrence", "match"]
         assert rows[1] == ["1", "1", "2", "1/6", "1/6", "true"]
 
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_identity_at_the_limit_matches(self, capsys, fmt):
+        m, n = MAX_SIZE // 2, MAX_SIZE - MAX_SIZE // 2
+        code, out, err = run_capture(capsys, "identity", str(m), str(n), "--format", fmt)
+        assert (code, err) == (0, "")
+        b = bernoulli_recurrence(MAX_SIZE)
+        if fmt == "plain":
+            assert out == f"B_{MAX_SIZE} = {b}\nMATCH\n"
+        elif fmt == "csv":
+            assert list(csv.reader(io.StringIO(out)))[1] == [str(m), str(n), str(MAX_SIZE), str(b), str(b), "true"]
+        else:
+            payload = json.loads(out)
+            assert payload["split"] == payload["recurrence"] == {"num": str(b.numerator), "den": str(b.denominator)}
+            assert payload["match"] is True
+
     def test_polylog_plain(self, capsys):
         code, out, _ = run_capture(capsys, "polylog", "2")
         assert code == 0

@@ -246,6 +246,21 @@ class TestIntegrand:
         with pytest.raises(ValueError):
             integrand(-1, 1, 1.0)
 
+    def test_order_171_is_finite(self):
+        for t in (1e-3, 1.0, 7.0):
+            assert math.isfinite(integrand(0, 171, t)), t
+            assert math.isfinite(integrand(171, 0, t)), t
+
+    @pytest.mark.parametrize("m, n", [(0, 172), (172, 0), (172, 500)])
+    def test_order_past_171_names_the_limit(self, m, n):
+        with pytest.raises(ValueError, match="limited to 171"):
+            integrand(m, n, 1.0)
+
+    def test_order_limit_is_where_coefficients_leave_double_range(self):
+        float(max(map(abs, polylog_neg_rf(171).numerator.coeffs)))
+        with pytest.raises(OverflowError):
+            float(max(map(abs, polylog_neg_rf(172).numerator.coeffs)))
+
 
 class TestExpectedIntegralValue:
     def test_edge_orders(self):
