@@ -171,7 +171,8 @@ def integrand(m: int, n: int, t: float) -> float:
     Each form runs Horner in whichever of u/v = t and v/u = 1/t is at
     most 1 and is then scaled by v^n or u^n (both at most 1), so no
     intermediate overflows for any finite t > 0 -- unlike powers of t
-    itself, which reach inf, or inf/inf = nan, at large t.
+    itself, which reach inf, or inf/inf = nan, at large t.  Orders above
+    171 raise ValueError, since their coefficients do not fit a double.
     """
     if m < 0 or n < 0:
         raise ValueError(f"orders must be non-negative, got ({m}, {n})")
