@@ -66,17 +66,21 @@ __all__ = [
 
 # Largest size argument a subcommand accepts (bernoulli n, stirling n,
 # table --max, polylog n, identity m + n, oeis-check --max).  At the
-# limit the slowest route is polylog_neg_rf(1000), about 12 s; every
-# Bernoulli route, the split (500, 500) included, takes under 1 s, and
-# the Stirling triangle holds about 200 MB.
+# limit the slowest request is `polylog 1000`, about 1.4 s as a fresh
+# process (growing the Stirling triangle takes 0.4 s, polylog_neg_rf(1000)
+# 0.4 s, and the rest is rendering and import); `identity 500 500` takes
+# about 1.2 s, every other Bernoulli route under 1 s, and the Stirling
+# triangle holds about 200 MB.
 MAX_SIZE = 1000
 # Largest bench sweep; bench_run(60) takes about 1.0 s.
 MAX_BENCH_SUM = 60
 # Largest quadrature rule of verify-integral and beta-check.  Building a
 # Gauss-Legendre rule grows about as nodes^2 (256 nodes take about
-# 0.03 s, 1024 about 0.5 s), and each integrand evaluation about 2 us
-# at m+n = 12, so the largest rule, 1024 panels of 256 nodes, takes
-# about 0.6 s.
+# 0.02 s, 1024 about 0.5 s), and each polylog form takes 1-1.5 us per
+# node at order 12, so the largest rule, 1024 panels of 256 nodes, takes
+# at most about 0.9 s as a fresh process (verify-integral 0 12; 0.5 s
+# when m = n, whose one form serves both factors, and 0.35 s for
+# beta-check) and peaks at about 30 MB.
 MAX_PANELS = 1024
 MAX_NODES = 256
 

@@ -220,22 +220,22 @@ def polylog_stirling_form(n: int) -> RationalFunction:
     """The literal finite sum sum_{k=0}^{n} k! S(n,k) (-t)^k / (1+t)^(k+1).
 
     Over the common denominator (1+t)^(n+1) the numerator is
-    sum_k (-1)^k k! S(n,k) t^k (1+t)^(n-k).  Equals Li_{-n}(-t) for
+    sum_k c_k t^k (1+t)^(n-k) with c_k = (-1)^k k! S(n,k), folded by
+    Horner in (1+t) as P <- P*(1+t) + c_k t^k, so each step is one
+    shift-and-add of the coefficient list.  Equals Li_{-n}(-t) for
     n >= 1; at n = 0 it is 1/(1+t), off by the constant 1 from the
     actual Li_0(-t).  Callers who need the genuine order-0 function want
     polylog_neg_rf.
     """
     if n < 0:
         raise ValueError(f"polylog order must be non-negative, got {n}")
-    num = [0] * (n + 1)
+    num: list[int] = []
     kfact = 1
     for k, s in enumerate(stirling2_row(n)):
         if k:
             kfact *= k
-        if s:
-            c = (-1) ** k * kfact * s
-            for i in range(n - k + 1):
-                num[k + i] += c * comb(n - k, i)
+        # num*(1+t) + c_k t^k: coefficient i is num[i-1] + num[i], the top one num[k-1] + c_k
+        num = [a + b for a, b in zip([0, *num], [*num, (-1) ** k * kfact * s])]
     return RationalFunction(Polynomial(num), _one_plus_t_power(n + 1))
 
 

@@ -9,12 +9,17 @@ Strategy: substitute u = t/(1+t), which maps (0, inf) onto (0, 1) with
 dt = du/(1-u)^2.  Every integrand assembled here becomes a polynomial in
 u under that substitution, so composite Gauss-Legendre reaches machine
 precision almost immediately; the quadrature never needs either
-endpoint.
+endpoint.  The identity and Beta checks integrate directly in u: the
+identity integrand times dt is L_n(u, 1-u) * L_m(1-u, u) du (see
+integrand), and each form is evaluated once per order and rule at the
+rule's nodes and cached, so a check is a dot product of two cached
+vectors with the weights.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -109,6 +114,26 @@ def _legendre_value_and_derivative(n: int, x: float) -> tuple[float, float]:
     return p, dp
 
 
+# A workload uses three rules; the largest rule (MAX_PANELS x MAX_NODES in
+# the CLI) holds 4 MB.
+@lru_cache(maxsize=8)
+def _panel_rule(panels: int, nodes: int) -> tuple[array, array]:
+    """Nodes u_j in (0, 1), ascending, and weights of the composite rule:
+    `panels` equal panels of the `nodes`-point Gauss-Legendre rule.
+
+    The rule is symmetric about 1/2, so node N-1-j is 1 - u_j up to
+    rounding and carries the same weight.
+    """
+    if panels < 1:
+        raise ValueError(f"need at least one panel, got {panels}")
+    xs, ws = gauss_legendre(nodes)
+    half = 0.5 / panels
+    mids = [(2 * p + 1) * half for p in range(panels)]
+    offsets = [half * x for x in xs]
+    us = array("d", (mid + dx for mid in mids for dx in offsets))
+    return us, array("d", [half * w for w in ws]) * panels
+
+
 def integrate_halfline(
     f: Callable[[float], float], panels: int = DEFAULT_PANELS, nodes: int = DEFAULT_NODES
 ) -> float:
@@ -118,18 +143,11 @@ def integrate_halfline(
     which is then split into equal panels.  Gauss nodes are interior, so
     f is never called at t = 0 or asked for a limit at infinity.
     """
-    if panels < 1:
-        raise ValueError(f"need at least one panel, got {panels}")
-    xs, ws = gauss_legendre(nodes)
-    width = 1.0 / panels
-    half = width / 2.0
+    us, ws = _panel_rule(panels, nodes)
     total = 0.0
-    for p in range(panels):
-        mid = p * width + half
-        for x, w in zip(xs, ws):
-            u = mid + half * x
-            om = 1.0 - u
-            total += half * w * f(u / om) / (om * om)
+    for u, w in zip(us, ws):
+        om = 1.0 - u
+        total += w * f(u / om) / (om * om)
     return total
 
 
@@ -182,6 +200,16 @@ def integrand(m: int, n: int, t: float) -> float:
     return _form(_numerator_floats(n), u, v) * _form(_numerator_floats(m), v, u) * v * v
 
 
+# Bounded to one workload's working set: every order verify_integral
+# accepts, on three rules.  A vector of the largest rule holds 2 MB.
+@lru_cache(maxsize=3 * (MAX_IDENTITY_SUM + 1))
+def _form_at_nodes(n: int, panels: int, nodes: int) -> array:
+    """L_n(u_j, 1 - u_j) at every node u_j of _panel_rule(panels, nodes)."""
+    coeffs = _numerator_floats(n)
+    us, _ = _panel_rule(panels, nodes)
+    return array("d", (_form(coeffs, u, 1.0 - u) for u in us))
+
+
 def expected_integral_value(m: int, n: int) -> Fraction:
     """Exact value of the half-line integral for orders (m, n).
 
@@ -226,7 +254,11 @@ def verify_integral(
         raise ValueError(
             f"verify_integral is scoped to m + n <= {MAX_IDENTITY_SUM}, got {m + n}"
         )
-    estimate = integrate_halfline(lambda t: integrand(m, n, t), panels, nodes)
+    # integrand(m, n, t) dt = L_n(u, 1-u) * L_m(1-u, u) du, and L_m(1-u_j, u_j)
+    # is L_m at the mirrored node u_(N-1-j) = 1 - u_j.
+    _, ws = _panel_rule(panels, nodes)
+    right, left = _form_at_nodes(n, panels, nodes), _form_at_nodes(m, panels, nodes)
+    estimate = math.fsum(w * a * b for w, a, b in zip(ws, right, reversed(left)))
     return _report(m, n, estimate, expected_integral_value(m, n), panels, nodes)
 
 
@@ -241,6 +273,7 @@ def beta_quadrature_check(
         raise ValueError(
             f"beta_quadrature_check is scoped to k + l <= {MAX_BETA_SUM}, got {k + l}"
         )
-    power = k + l + 2
-    estimate = integrate_halfline(lambda t: t**k / (1.0 + t) ** power, panels, nodes)
+    # t^k / (1+t)^(k+l+2) dt = u^k (1-u)^l du
+    us, ws = _panel_rule(panels, nodes)
+    estimate = math.fsum(w * u**k * (1.0 - u) ** l for u, w in zip(us, ws))
     return _report(k, l, estimate, beta_integer(k + 1, l + 1), panels, nodes)

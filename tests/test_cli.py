@@ -919,7 +919,7 @@ class TestCostGuards:
             "stirling2", "stirling2_row", "polylog_neg_rf", "parse_bfile",
         ):
             monkeypatch.setattr(cli, name, refuse)
-        for name in ("gauss_legendre", "integrate_halfline"):
+        for name in ("gauss_legendre", "integrate_halfline", "_panel_rule", "_form_at_nodes"):
             monkeypatch.setattr(quadrature, name, refuse)
 
     @pytest.mark.parametrize("argv", [

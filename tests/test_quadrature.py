@@ -32,6 +32,8 @@ from bernlab.quadrature import (
     MAX_BETA_SUM,
     MAX_IDENTITY_SUM,
     QuadratureReport,
+    _form_at_nodes,
+    _panel_rule,
     beta_quadrature_check,
     expected_integral_value,
     gauss_legendre,
@@ -43,6 +45,8 @@ from bernlab.quadrature import (
 P_T = Polynomial([0, 1])
 # Every order pair verify_integral accepts.
 IN_SCOPE = [(m, n) for m in range(MAX_IDENTITY_SUM + 1) for n in range(MAX_IDENTITY_SUM + 1 - m)]
+# The rules of the benchmark's integral-quad workload, then those of its CLI requests.
+BENCHMARK_RULES = [(16, 32), (8, 64), (32, 16), (8, 16), (4, 32), (16, 8)]
 
 
 def one_plus_t(e: int) -> Polynomial:
@@ -206,6 +210,27 @@ class TestGaussLegendre:
             gauss_legendre(0)
 
 
+class TestPanelRule:
+    @pytest.mark.parametrize("panels,nodes", BENCHMARK_RULES + [(1, 1), (3, 7), (5, 5), (7, 2)])
+    def test_symmetric_about_one_half(self, panels, nodes):
+        us, ws = _panel_rule(panels, nodes)
+        size = panels * nodes
+        assert len(us) == len(ws) == size
+        assert list(us) == sorted(us) and 0.0 < us[0] and us[-1] < 1.0
+        for j in range(size):
+            assert abs(us[j] + us[size - 1 - j] - 1.0) <= 2 * math.ulp(1.0), (j, us[j])
+            assert ws[j] == ws[size - 1 - j], j
+        assert math.fsum(ws) == pytest.approx(1.0, abs=1e-14)
+
+    def test_bad_panel_count_rejected(self):
+        with pytest.raises(ValueError, match="at least one panel"):
+            _panel_rule(0, 8)
+
+    def test_node_values_are_cached_with_a_bound(self):
+        assert _form_at_nodes.cache_info().maxsize is not None
+        assert _form_at_nodes(3, 8, 16) is _form_at_nodes(3, 8, 16)
+
+
 class TestIntegrateHalfline:
     def test_examples(self):
         assert integrate_halfline(lambda t: (1 + t) ** -2) == pytest.approx(1.0, abs=1e-12)
@@ -306,11 +331,23 @@ class TestVerifyIntegral:
                 report = verify_integral(m, n)
                 assert report.rel_error <= 1e-10, (m, n, report.rel_error)
 
-    @pytest.mark.parametrize("panels,nodes", [(16, 32), (8, 64), (32, 16)])
+    @pytest.mark.parametrize("panels,nodes", BENCHMARK_RULES)
     def test_whole_scope_on_each_benchmark_rule(self, panels, nodes):
         for m, n in IN_SCOPE:
             report = verify_integral(m, n, panels, nodes)
             assert report.rel_error <= 1e-12, (m, n, panels, nodes, report.rel_error)
+
+    @pytest.mark.parametrize("panels,nodes", BENCHMARK_RULES)
+    def test_matches_the_halfline_route(self, panels, nodes):
+        # verify_integral integrates in u from cached form values at
+        # mirrored nodes; integrate_halfline calls integrand in t.  Each
+        # carries rounding amplified by the forms' cancellation (sum of
+        # w|f| is about 244 at m+n = 12), up to 1.8e-13 from the exact
+        # value at (12, 0) on 4 x 32 for the t route.
+        for m, n in IN_SCOPE:
+            estimate = verify_integral(m, n, panels, nodes).estimate
+            reference = integrate_halfline(lambda t: integrand(m, n, t), panels, nodes)
+            assert estimate == pytest.approx(reference, abs=2e-13), (m, n)
 
     def test_symmetric_orders_agree(self):
         for m, n in ((0, 3), (1, 4), (2, 5)):
@@ -347,6 +384,13 @@ class TestBetaQuadratureCheck:
                 report = beta_quadrature_check(k, l)
                 assert report.expected == beta_integer(k + 1, l + 1)
                 assert report.rel_error <= 1e-10, (k, l, report.rel_error)
+
+    @pytest.mark.parametrize("panels,nodes", BENCHMARK_RULES)
+    def test_whole_scope_on_each_benchmark_rule(self, panels, nodes):
+        for s in range(MAX_BETA_SUM + 1):
+            for k in range(s + 1):
+                report = beta_quadrature_check(k, s - k, panels, nodes)
+                assert report.rel_error <= 1e-12, (k, s - k, panels, nodes, report.rel_error)
 
     def test_scope_cap(self):
         with pytest.raises(ValueError):
