@@ -222,10 +222,6 @@ class TestPanelRule:
             assert ws[j] == ws[size - 1 - j], j
         assert math.fsum(ws) == pytest.approx(1.0, abs=1e-14)
 
-    def test_bad_panel_count_rejected(self):
-        with pytest.raises(ValueError, match="at least one panel"):
-            _panel_rule(0, 8)
-
     def test_node_values_are_cached_with_a_bound(self):
         assert _form_at_nodes.cache_info().maxsize is not None
         assert _form_at_nodes(3, 8, 16) is _form_at_nodes(3, 8, 16)
