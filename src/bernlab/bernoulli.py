@@ -35,6 +35,11 @@ class BernoulliTable:
     which is what multiplying t/(e^t - 1) = sum B_j t^j / j! through by
     (e^t - 1) forces.
 
+    Only m = 1 and even m are summed.  At odd m >= 3 the step stores 0
+    without summing: t/(e^t - 1) + t/2 = (t/2) coth(t/2) is an even
+    function, so every odd coefficient past t^1 vanishes.  The Pascal
+    row still advances at those steps.
+
     The sum runs in integers.  Invariant: D is the lcm of the
     denominators of B_0..B_max, and every non-zero B_j is held as the
     int pair (j, B_j * D); the zero B_j (odd j >= 3) are not held.  A
@@ -65,8 +70,11 @@ class BernoulliTable:
             while len(self._values) <= n:
                 m = len(self._values)
                 binom = self._binom
-                acc = sum(binom[j] * num for j, num in self._scaled)
                 self._binom = [1, *map(add, binom, binom[1:]), 1]
+                if m > 1 and m & 1:
+                    self._values.append(Fraction(0))
+                    continue
+                acc = sum(binom[j] * num for j, num in self._scaled)
                 value = Fraction(-acc, self._den * (m + 1))
                 self._values.append(value)
                 if value:
@@ -97,23 +105,25 @@ def bernoulli_stirling_sum(n: int) -> Fraction:
 
         B_n = sum_{k=0}^{n} (-1)^k k! S(n, k) / (k + 1).
 
-    The terms sit over the common denominator L = lcm(1, ..., n+1) and
-    accumulate in pure integer arithmetic; one Fraction is built at the
-    end.
+    The terms sit over the common denominator L = lcm(1, ..., n+1), so
+    with x_k = (-1)^k S(n, k) * (L / (k+1)) the numerator is
+    sum_k k! x_k.  It is folded by Horner in k,
+
+        h = (h + x_k) * k    for k = n, ..., 1,
+
+    and the k = 0 term is added last, so no k! is carried: each step
+    costs one multiply S(n, k) * (L / (k+1)) and one big-by-small
+    multiply.  One Fraction is built at the end.
     """
     if n < 0:
         raise ValueError(f"Bernoulli index must be non-negative, got {n}")
     den = lcm(*range(1, n + 2))
-    acc = 0
-    sign = 1
-    kfact = 1
-    for k, s in enumerate(stirling2_row(n)):
-        if k:
-            kfact *= k
-        if s:
-            acc += sign * kfact * s * (den // (k + 1))
-        sign = -sign
-    return Fraction(acc, den)
+    row = stirling2_row(n)
+    h = 0
+    for k in range(n, 0, -1):
+        x = row[k] * (den // (k + 1))
+        h = (h - x if k & 1 else h + x) * k
+    return Fraction(h + row[0] * den, den)
 
 
 def bernoulli_split(m: int, n: int) -> Fraction:
@@ -139,10 +149,14 @@ def bernoulli_split(m: int, n: int) -> Fraction:
         acc = acc * (k+m+1) + a_k * T_k              for k = 0, ..., n.
 
     So each (k, l) step multiplies a big integer by a small one, and
-    each k costs one big-by-big multiply, a_k * T_k.
+    each k costs one big-by-big multiply, a_k * T_k.  The double sum is
+    symmetric under swapping m and n, so m > n is swapped first: the
+    inner Horner then runs over the shorter row and T_k stays small.
     """
     if m < 0 or n < 0:
         raise ValueError(f"split indices must be non-negative, got ({m}, {n})")
+    if m > n:
+        m, n = n, m
     fact = [1] * (m + n + 2)
     for i in range(1, m + n + 2):
         fact[i] = fact[i - 1] * i

@@ -69,10 +69,11 @@ __all__ = [
 # limit the slowest request is `polylog 1000`, about 1.4 s as a fresh
 # process (growing the Stirling triangle takes 0.4 s, polylog_neg_rf(1000)
 # 0.4 s, and the rest is rendering and import); `identity 500 500` takes
-# about 1.2 s, every other Bernoulli route under 1 s, and the Stirling
-# triangle holds about 200 MB.
+# about 1.1-1.3 s, a cold Bernoulli table to 1000 about 0.5 s, every
+# other Bernoulli route under 1 s, and the Stirling triangle holds about
+# 200 MB.
 MAX_SIZE = 1000
-# Largest bench sweep; bench_run(60) takes about 1.0 s.
+# Largest bench sweep; bench_run(60) takes about 1.1 s.
 MAX_BENCH_SUM = 60
 # Largest quadrature rule of verify-integral and beta-check.  Building a
 # Gauss-Legendre rule grows about as nodes^2 (256 nodes take about
