@@ -2,12 +2,12 @@
 evaluation strategies.
 
 The package computes Bernoulli numbers (B_1 = -1/2 convention) three
-independent ways -- a generating-function recurrence, a single
-alternating Stirling sum, and a two-index split sum -- and verifies the
-split sum against a half-line integral identity evaluated by composite
-Gauss-Legendre quadrature.  Supporting casts: Stirling numbers of the
-second kind, Bell numbers, negative-order polylogarithms as exact
-rational functions, integer-argument Beta values, and zeta at
+independent ways -- a table of zigzag numbers from the Seidel triangle,
+a single alternating Stirling sum, and a two-index split sum -- and
+verifies the split sum against a half-line integral identity evaluated
+by composite Gauss-Legendre quadrature.  Supporting casts: Stirling
+numbers of the second kind, Bell numbers, negative-order polylogarithms
+as exact rational functions, integer-argument Beta values, and zeta at
 non-positive integers.  Everything symbolic is arbitrary-precision
 rational arithmetic; floats appear only inside the quadrature.
 """

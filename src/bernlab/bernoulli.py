@@ -5,16 +5,18 @@ Convention: the generating function t/(e^t - 1) fixes B_1 = -1/2.  (The
 "+1/2" convention belongs to t/(1 - e^-t) and is not used anywhere in
 this package.)
 
-The recurrence is the designated ground truth; the two Stirling-sum
-strategies are the ones under test and must agree with it everywhere.
+The table, grown from the zigzag numbers of the Seidel triangle, is the
+designated ground truth (the CLI calls this route `recurrence`); the two
+Stirling-sum strategies are the ones under test and must agree with it
+everywhere.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
-from operator import add
 
 from .combinatorics import stirling2_row
 
@@ -28,38 +30,35 @@ __all__ = [
 
 
 class BernoulliTable:
-    """Memoized B_0..B_max from the recurrence
+    """Memoized B_0..B_max from the zigzag numbers A_j, read off the
+    Seidel (boustrophedon) triangle.
 
-        B_0 = 1,   B_m = -(1/(m+1)) * sum_{j<m} C(m+1, j) B_j,
+    sec t + tan t = sum A_j t^j / j!, and the odd-index A_j are the
+    tangent numbers, so for even m >= 2
 
-    which is what multiplying t/(e^t - 1) = sum B_j t^j / j! through by
-    (e^t - 1) forces.
+        B_m = (-1)^(m/2 - 1) * m * A_(m-1) / (4^(m/2) * (4^(m/2) - 1)),
 
-    Only m = 1 and even m are summed.  At odd m >= 3 the step stores 0
-    without summing: t/(e^t - 1) + t/2 = (t/2) coth(t/2) is an even
-    function, so every odd coefficient past t^1 vanishes.  The Pascal
-    row still advances at those steps.
+    while every odd B_m with m >= 3 is 0: t/(e^t - 1) + t/2 is even.
+    B_0 = 1 and B_1 = -1/2 are seeded, so a fresh table has max_n 1.
 
-    The sum runs in integers.  Invariant: D is the lcm of the
-    denominators of B_0..B_max, and every non-zero B_j is held as the
-    int pair (j, B_j * D); the zero B_j (odd j >= 3) are not held.  A
-    step therefore sums C(m+1, j) * (B_j * D), reading C(m+1, j) from a
-    held Pascal row that advances by additions, and builds the one
-    Fraction -sum / (D * (m+1)).  When B_m brings a new prime into D,
-    the held numerators are multiplied by the small factor D_new / D.
+    The one piece of growth state is the last row of the triangle
+    (Millar, Sloane & Young, "A new operation on sequences: the
+    boustrophedon transform", JCTA 1996).
+    Invariant: the held row has max_n entries and ends in A_(max_n - 1).
+    A step m replaces it by [0, *accumulate(reversed(row))], which ends
+    in A_(m-1), so each step costs m - 1 big-integer additions and
+    builds at most one Fraction.  The route uses no Stirling number, so
+    it shares nothing with the two Stirling-sum strategies it checks.
 
     Extension happens under a lock; entries, once stored, never change,
     so a shared instance may be read from any thread.
     """
 
     def __init__(self, max_n: int = 0):
-        self._values: list[Fraction] = [Fraction(1)]
-        self._den = 1
-        self._scaled: list[tuple[int, int]] = [(0, 1)]
-        self._binom = [1, 2, 1]  # C(max_n + 2, j)
+        self._values: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
+        self._row = [1]  # A_0
         self._lock = threading.Lock()
-        if max_n > 0:
-            self.extend_to(max_n)
+        self.extend_to(max_n)
 
     @property
     def max_n(self) -> int:
@@ -67,23 +66,14 @@ class BernoulliTable:
 
     def extend_to(self, n: int) -> None:
         with self._lock:
-            while len(self._values) <= n:
-                m = len(self._values)
-                binom = self._binom
-                self._binom = [1, *map(add, binom, binom[1:]), 1]
-                if m > 1 and m & 1:
+            for m in range(len(self._values), n + 1):
+                self._row = row = [0, *accumulate(reversed(self._row))]
+                if m & 1:
                     self._values.append(Fraction(0))
                     continue
-                acc = sum(binom[j] * num for j, num in self._scaled)
-                value = Fraction(-acc, self._den * (m + 1))
-                self._values.append(value)
-                if value:
-                    den = lcm(self._den, value.denominator)
-                    factor = den // self._den
-                    if factor > 1:
-                        self._scaled = [(j, num * factor) for j, num in self._scaled]
-                        self._den = den
-                    self._scaled.append((m, value.numerator * (den // value.denominator)))
+                power = 1 << m  # 4^(m/2)
+                value = Fraction(m * row[-1], power * (power - 1))
+                self._values.append(value if m & 2 else -value)
 
     def value(self, n: int) -> Fraction:
         if n < 0:
@@ -96,7 +86,7 @@ _SHARED_TABLE = BernoulliTable()
 
 
 def bernoulli_recurrence(n: int) -> Fraction:
-    """Exact B_n from the shared recurrence table."""
+    """Exact B_n from the shared zigzag table."""
     return _SHARED_TABLE.value(n)
 
 

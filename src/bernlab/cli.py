@@ -69,9 +69,9 @@ __all__ = [
 # limit the slowest request is `polylog 1000`, about 1.4 s as a fresh
 # process (growing the Stirling triangle takes 0.4 s, polylog_neg_rf(1000)
 # 0.4 s, and the rest is rendering and import); `identity 500 500` takes
-# about 1.1-1.3 s, a cold Bernoulli table to 1000 about 0.5 s, every
-# other Bernoulli route under 1 s, and the Stirling triangle holds about
-# 200 MB.
+# about 1.1-1.3 s, `table bernoulli --max 1000` (a cold Bernoulli table
+# to 1000) 0.3-0.4 s, every other Bernoulli route under 1 s, and the
+# Stirling triangle holds about 200 MB.
 MAX_SIZE = 1000
 # Largest bench sweep; bench_run(60) takes about 1.1 s.
 MAX_BENCH_SUM = 60

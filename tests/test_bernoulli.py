@@ -4,11 +4,12 @@ import inspect
 import sys
 import threading
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bernlab import bernoulli, combinatorics
 from bernlab.bernoulli import (
     BernoulliTable,
     bernoulli_recurrence,
@@ -16,6 +17,7 @@ from bernlab.bernoulli import (
     bernoulli_stirling_sum,
     zeta_nonpositive,
 )
+from bernlab.cli import MAX_SIZE
 from bernlab.combinatorics import stirling2, stirling2_row
 
 # First entries of the sequence under the B_1 = -1/2 convention.
@@ -35,6 +37,14 @@ FIRST_BERNOULLI = [
     Fraction(-691, 2730),
     Fraction(0),
     Fraction(7, 6),
+]
+
+# The zigzag numbers A_0..A_20 (OEIS A000111), the coefficients of
+# sec t + tan t times n!.
+ZIGZAG = [
+    1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521, 353792, 2702765,
+    22368256, 199360981, 1903757312, 19391512145, 209865342976,
+    2404879675441, 29088885112832, 370371188237525,
 ]
 
 
@@ -68,19 +78,20 @@ class TestRecurrence:
     def test_uneven_growth_matches_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
         table = BernoulliTable()
-        # uneven steps, so new primes enter the common denominator
-        # between calls as well as within them
+        # uneven steps, so growth resumes from the held Seidel row
+        # between calls as well as stepping within them
         for top in (7, 97, 211, 400):
             table.extend_to(top)
         assert table.max_n == 400
         for n in range(401):
             assert table.value(n) == Fraction(*mpmath.bernfrac(n)), n
 
-    def test_every_value_to_500_matches_mpmath(self):
-        # odd indices >= 3 are stored by parity, the rest summed; B_1 is summed
+    def test_every_value_to_max_size_matches_mpmath(self):
+        # odd indices >= 3 are stored by parity, even ones from the zigzag
+        # numbers; B_0 and B_1 are seeded
         mpmath = pytest.importorskip("mpmath")
-        table = BernoulliTable(max_n=500)
-        for n in range(501):
+        table = BernoulliTable(max_n=MAX_SIZE)
+        for n in range(MAX_SIZE + 1):
             assert table.value(n) == Fraction(*mpmath.bernfrac(n)), n
 
     def test_stepped_extension_matches_one_call(self):
@@ -89,14 +100,29 @@ class TestRecurrence:
             stepped.extend_to(top)
         single = BernoulliTable(max_n=500)
         assert stepped._values == single._values
-        assert (stepped._den, stepped._scaled) == (single._den, single._scaled)
+        assert stepped._row == single._row
 
-    def test_scaled_numerators_invariant(self):
-        table = BernoulliTable(max_n=120)
-        values = [table.value(j) for j in range(121)]
-        den = lcm(*(v.denominator for v in values))
-        assert table._den == den
-        assert table._scaled == [(j, int(v * den)) for j, v in enumerate(values) if v]
+    def test_held_row_invariant(self):
+        # the held Seidel row has max_n entries and ends in A_(max_n - 1);
+        # B_0 and B_1 are seeded, so a fresh table already holds A_0
+        fresh = BernoulliTable()
+        assert (fresh.max_n, fresh._row) == (1, [1])
+        stepped = BernoulliTable()
+        for top in (2, 3, 4, 9, 10, 13, 21):
+            stepped.extend_to(top)
+            for table in (stepped, BernoulliTable(max_n=top)):
+                assert table.max_n == len(table._row) == top
+                assert table._row[-1] == ZIGZAG[top - 1], top
+
+    def test_independent_of_the_stirling_numbers(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("the table must not read a Stirling number")
+
+        monkeypatch.setattr(combinatorics, "stirling2_row", refuse)
+        monkeypatch.setattr(bernoulli, "stirling2_row", refuse)
+        table = BernoulliTable(max_n=200)
+        assert table.value(30) == Fraction(8615841276005, 14322)
+        assert table.value(200) == bernoulli_recurrence(200)
 
     def test_concurrent_extension_matches_one_call(self):
         shared = BernoulliTable()

@@ -239,7 +239,7 @@ class TestIntegrateHalfline:
         assert integrate_halfline(lambda t: math.exp(-t)) == pytest.approx(1.0, abs=1e-9)
 
     def test_bad_panel_count_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one panel"):
             integrate_halfline(lambda t: 0.0, panels=0)
 
 
