@@ -7,9 +7,9 @@ looks at `--format` (plain, csv or json).  The argument parser is built
 once per process, on the first `run` call, and reused by every later
 one.  Exit-code contract: 0 for success or PASS, 1 for a verification
 FAIL, 2 for usage, parse, or data errors.  Size arguments above
-`MAX_SIZE`, a bench sweep above `MAX_BENCH_SUM` and quadrature rules
-above `MAX_PANELS` or `MAX_NODES` are refused with exit 2 before any
-work starts.
+`MAX_SIZE`, a `polylog --at` value above `MAX_AT_DIGITS`, a bench sweep
+above `MAX_BENCH_SUM` and quadrature rules above `MAX_PANELS` or
+`MAX_NODES` are refused with exit 2 before any work starts.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ __all__ = [
     "MAX_NODES",
     "MAX_PANELS",
     "MAX_SIZE",
+    "MAX_AT_DIGITS",
     "parse_bfile",
     "render_bfile",
     "oeis_check",
@@ -73,6 +74,15 @@ __all__ = [
 # to 1000) 0.3-0.4 s, every other Bernoulli route under 1 s, and the
 # Stirling triangle holds about 200 MB.
 MAX_SIZE = 1000
+# Largest exact value `polylog n --at t` computes, measured as (n + 1)
+# times the digit count of t's numerator or denominator, whichever is
+# longer: the homogeneous forms of the value have about that many
+# digits.  A result must print within the interpreter's 4300-digit limit
+# on int-to-str conversion, and cancelling the gcd removes at most a few
+# thousand digits even at order 1000, so no printable value is refused.
+# An exponent beyond the limit (`--at 1e20000`) is refused while parsing,
+# before the decimal power is built.
+MAX_AT_DIGITS = 10_000
 # Largest bench sweep; bench_run(60) takes about 1.1 s.
 MAX_BENCH_SUM = 60
 # Largest quadrature rule of verify-integral and beta-check.  Building a
@@ -378,8 +388,19 @@ def _cmd_identity(args: argparse.Namespace) -> Output:
     )
 
 
+def _decimal_digits(x: int) -> int:
+    """Number of decimal digits of |x|, without converting it to str."""
+    x = abs(x)
+    digits = int(x.bit_length() * math.log10(2)) + 1
+    return digits - 1 if digits > 1 and x < 10 ** (digits - 1) else digits
+
+
 def _cmd_polylog(args: argparse.Namespace) -> Output:
     _check_size("n", args.n)
+    if args.at is not None:
+        t = args.at
+        size = (args.n + 1) * max(_decimal_digits(t.numerator), _decimal_digits(t.denominator))
+        _check_size("(n + 1) * digits of --at", size, MAX_AT_DIGITS)
     f = polylog_neg_rf(args.n)
     plain = [f"Li_{{-{args.n}}}(-t) = {f.render('t')}"]
     at = value = None
@@ -486,7 +507,20 @@ def _tolerance(text: str) -> float:
     return value
 
 
+# The exponent of a decimal such as 1.5e-7, without its sign or leading
+# zeros; Fraction would build 10**exponent.
+_EXPONENT = re.compile(r"[eE][-+]?0*([\d_]*)\s*$")
+
+
 def _fraction(text: str) -> Fraction:
+    exponent = _EXPONENT.search(text)
+    # Only a prefix one digit longer than the cap is converted, so a huge
+    # exponent is refused as quickly as a small one.
+    cap_prefix = len(str(MAX_AT_DIGITS)) + 1
+    if exponent and int("0" + exponent[1].replace("_", "")[:cap_prefix]) > MAX_AT_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} has an exponent beyond the --at cap of {MAX_AT_DIGITS} digits"
+        )
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

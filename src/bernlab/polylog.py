@@ -23,6 +23,12 @@ coefficients.  Li_{-n}(-t) has denominator (1+t)^(n+1) (the oracle has
 (1-x)^(n+1)), and its numerator does not vanish at the root: for n >= 1
 its value at t = -1 is n!.  So no polynomial GCD is ever taken, and the
 fixed denominator makes equality plain coefficient comparison.
+
+``rf_eval_exact(f, t)`` evaluates in integers: with t = p/q in lowest
+terms, both parts of f, padded to one length, become homogeneous forms
+in (p, q).  ``_form_pair_at`` computes the two forms together, by one
+Horner pass up to ``_LEAF`` coefficients and by binary splitting above,
+and the result is the one Fraction of the two values.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .combinatorics import stirling2_row
 
@@ -163,35 +169,55 @@ class RationalFunction:
         return f"RationalFunction({self.render()})"
 
 
+# Runs of at most this many coefficients are evaluated by one Horner
+# pass; longer ones are halved.  At 32, orders up to 30 never split.
+_LEAF = 32
+
+
+def _form_pair_at(num: Sequence, den: Sequence, p: int, q: int) -> tuple:
+    """The homogeneous forms sum_i c_i p^i q^(L-1-i) of two coefficient
+    runs num and den of one length L.
+
+    Up to _LEAF coefficients both forms come from one Horner pass in p
+    with a running power of q.  A longer pair is split after its low
+    halves, of length m, and F = F_lo * q^(L-m) + F_hi * p^m recombines
+    both forms, so the big multiplies stay balanced.
+    """
+    size = len(num)
+    if size > _LEAF:
+        mid = size // 2
+        num_lo, den_lo = _form_pair_at(num[:mid], den[:mid], p, q)
+        num_hi, den_hi = _form_pair_at(num[mid:], den[mid:], p, q)
+        p_lo, q_hi = p**mid, q ** (size - mid)
+        return num_lo * q_hi + num_hi * p_lo, den_lo * q_hi + den_hi * p_lo
+    a = b = 0
+    scale = 1
+    for c, e in zip(reversed(num), reversed(den)):
+        a = a * p + c * scale
+        b = b * p + e * scale
+        scale *= q
+    return a, b
+
+
 def rf_eval_exact(f: RationalFunction, t) -> Fraction:
-    """Exact evaluation at a rational point; poles raise ZeroDivisionError.
+    """f(t) as a reduced Fraction; a pole raises ZeroDivisionError.
 
     With t = p/q in lowest terms and d the larger degree of the two
-    parts, q^d * f(t) = N_h / D_h, where each part becomes the
-    homogeneous integer form sum_i c_i p^i q^(d-i).  Both forms run
-    Horner in p over one shared list of powers of q, so the only
-    Fraction built (and the only gcd taken) is the result.
+    parts, q^d * f(t) = N_h / D_h, where each part, padded with zeros to
+    degree d, becomes the homogeneous form sum_i c_i p^i q^(d-i).  Both
+    forms come from one _form_pair_at call, so the only Fraction built
+    (and the only gcd taken) is the result.
     """
-    t = Fraction(t)
-    p, q = t.numerator, t.denominator
+    if not isinstance(t, Fraction):
+        t = Fraction(t)
     num, den = f.numerator.coeffs, f.denominator.coeffs
-    d = max(len(num), len(den)) - 1
-    q_powers = [1]
-    for _ in range(d):
-        q_powers.append(q_powers[-1] * q)
-
-    def form(coeffs: tuple) -> int:
-        # c_i is scaled by q^(d-i), not q^(deg-i), so the shorter part
-        # comes out padded to degree d as well.
-        acc = 0
-        for c, scale in zip(reversed(coeffs), q_powers[d + 1 - len(coeffs):]):
-            acc = acc * p + c * scale
-        return acc
-
-    den_h = form(den)
+    size = max(len(num), len(den))
+    num_h, den_h = _form_pair_at(
+        num + (0,) * (size - len(num)), den + (0,) * (size - len(den)), t.numerator, t.denominator
+    )
     if den_h == 0:
         raise ZeroDivisionError(f"pole of rational function at t = {t}")
-    return Fraction(form(num), den_h)
+    return Fraction(num_h, den_h)
 
 
 def rf_compose_reciprocal(f: RationalFunction) -> RationalFunction:

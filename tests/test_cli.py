@@ -13,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from bernlab.cli import (
     BenchRow,
     BFileEntry,
     BFileParseError,
+    MAX_AT_DIGITS,
     MAX_BENCH_SUM,
     MAX_NODES,
     MAX_PANELS,
@@ -222,10 +224,12 @@ POLYLOG_12_GOLDEN = {
 }
 
 
-# Golden stdout of `polylog 40 --at=-7/3` in each format, one file per
-# format: order 40's value at a negative non-integer point has a
-# 65-digit numerator over 4^22.  `--at -7/3`, with a space, must print
-# the same.
+# Golden stdout of `polylog 40 --at=-7/3` and `polylog 100 --at=-7/3` in
+# each format, one file per order and format: order 40's value at a
+# negative non-integer point has a 65-digit numerator over 4^22, and
+# order 100 has more coefficients than one Horner leaf of the exact
+# evaluator, so its value comes from split halves.  `--at -7/3`, with a
+# space, must print the same.
 POLYLOG_40_GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 # Golden stdout and exit code of one invocation of every subcommand in
@@ -693,6 +697,12 @@ class TestOtherValueCommands:
         assert run_capture(capsys, *argv) == (0, golden, "")
 
     @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_polylog_order_100_at_negative_point_golden(self, capsys, fmt):
+        golden = (POLYLOG_40_GOLDEN_DIR / f"polylog_100_at_-7_3.{fmt}").read_text()
+        argv = ["polylog", "100", "--at=-7/3", "--format", fmt]
+        assert run_capture(capsys, *argv) == (0, golden, "")
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
     def test_polylog_negative_fraction_as_separate_argument(self, capsys, fmt):
         golden = (POLYLOG_40_GOLDEN_DIR / f"polylog_40_at_-7_3.{fmt}").read_text()
         argv = ["polylog", "40", "--at", "-7/3", "--format", fmt]
@@ -916,7 +926,7 @@ class TestCostGuards:
 
         for name in (
             "bernoulli_recurrence", "bernoulli_split", "bernoulli_stirling_sum",
-            "stirling2", "stirling2_row", "polylog_neg_rf", "parse_bfile",
+            "stirling2", "stirling2_row", "polylog_neg_rf", "rf_eval_exact", "parse_bfile",
         ):
             monkeypatch.setattr(cli, name, refuse)
         for name in ("gauss_legendre", "integrate_halfline", "_panel_rule", "_form_at_nodes"):
@@ -938,6 +948,28 @@ class TestCostGuards:
         assert (code, out) == (2, "")
         assert f"is capped at {MAX_SIZE}, got {MAX_SIZE + 1}" in err
 
+    @pytest.mark.parametrize("argv,size", [
+        (["polylog", "9", "--at", "1e1000"], 10 * 1001),
+        (["polylog", "9", "--at", "-1/1" + "0" * 1000], 10 * 1001),
+        (["polylog", "3", "--at", "1e5000"], 4 * 5001),
+        (["polylog", "1000", "--at", "123456789/" + "7" * 3000], 1001 * 3000),
+    ], ids=["9-at-1e1000", "9-at-1000-digit-q", "3-at-1e5000", "1000-at-3000-digit-q"])
+    def test_polylog_value_past_the_limit_exits_two(self, capsys, argv, size):
+        code, out, err = run_capture(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"(n + 1) * digits of --at is capped at {MAX_AT_DIGITS}, got {size}" in err
+
+    @pytest.mark.parametrize("at", [
+        f"1e{MAX_AT_DIGITS + 1}", f"1E-{MAX_AT_DIGITS + 1}", "2.5e+00000010001",
+        "1e1000000000", "1e" + "9" * 5000,
+    ], ids=["cap+1", "-(cap+1)", "padded-cap+1", "1e9", "5000-digit-exponent"])
+    def test_polylog_exponent_past_the_limit_exits_two(self, capsys, monkeypatch, at):
+        # Refused while parsing, before Fraction builds the power of ten.
+        monkeypatch.setattr(cli, "Fraction", lambda text: pytest.fail("parsed past the cap"))
+        code, out, err = run_capture(capsys, "polylog", "0", f"--at={at}")
+        assert (code, out) == (2, "")
+        assert f"has an exponent beyond the --at cap of {MAX_AT_DIGITS} digits" in err
+
     @pytest.mark.parametrize("max_sum", [MAX_BENCH_SUM + 1, 201])
     def test_bench_sweep_past_the_limit_exits_two(self, capsys, max_sum):
         code, out, err = run_capture(capsys, "bench", "--max-sum", str(max_sum))
@@ -954,6 +986,48 @@ class TestCostGuards:
         code, out, err = run_capture(capsys, cmd, "2", "2", flag, str(value))
         assert (code, out) == (2, "")
         assert f"{flag} is capped at {limit}, got {value}" in err
+
+
+class TestPolylogValueLimit:
+    def test_value_at_the_limit_is_evaluated(self, capsys, monkeypatch):
+        # q has 1000 digits, so order 9 is exactly at the limit.
+        at = "-1/" + "9" * 1000
+        assert 10 * 1000 == MAX_AT_DIGITS
+        monkeypatch.setattr(cli, "rf_eval_exact", lambda f, t: Fraction(5))
+        code, out, err = run_capture(capsys, "polylog", "9", "--at", at)
+        assert (code, err) == (0, "")
+        assert out.endswith(f"value at t = {at}: 5\n")
+
+    def test_exponent_at_the_limit_parses(self):
+        assert cli._fraction(f"-3e-{MAX_AT_DIGITS}") == Fraction(-3, 10**MAX_AT_DIGITS)
+        assert cli._fraction(f"1.5E+0{MAX_AT_DIGITS}") == Fraction(15 * 10**(MAX_AT_DIGITS - 1))
+
+    def test_decimal_digits(self):
+        cases = [
+            (0, 1), (1, 1), (-1, 1), (9, 1), (10, 2), (-12345, 5), (2**64, 20),
+            (10**4300 - 1, 4300), (10**5000, 5001), (-(10**9999), 10000),
+        ]
+        cases += [(10**k + d, k + (d == 0)) for k in range(1, 80) for d in (-1, 0)]
+        cases += [(2**k, len(str(2**k))) for k in range(300)]
+        for x, digits in cases:
+            assert cli._decimal_digits(x) == digits, digits
+
+    @pytest.mark.parametrize("n,at", [
+        ("3", "1e5000"), ("1000", "123456789/" + "7" * 3000),
+    ], ids=["3-at-1e5000", "1000-at-3000-digit-q"])
+    def test_huge_points_exit_two_quickly_in_a_fresh_process(self, n, at):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = "import sys; from bernlab.cli import main; sys.argv[0] = 'bernlab'; main()"
+        env = {**os.environ, "PYTHONPATH": src}
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "polylog", n, "--at", at],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        elapsed = time.perf_counter() - start
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert f"capped at {MAX_AT_DIGITS}" in proc.stderr
+        assert elapsed < 2.0
 
 
 class TestSharedParser:

@@ -251,6 +251,82 @@ class TestExactEvaluationInIntegers:
                 rf_eval_exact(f, pole)
 
 
+LEAF = bernlab.polylog._LEAF
+# Orders next to one and two leaves: order n has n + 2 coefficients, so
+# these cover runs just under, at and just over each split.
+ORDERS_AT_THE_LEAF = sorted({k * LEAF + j for k in (1, 2) for j in range(-3, 2)})
+LONG_HAND_BUILT = (
+    # Fraction coefficients, both parts longer than the leaf
+    RationalFunction(
+        Polynomial(Fraction((-1) ** i * (i + 1), 2 * i + 3) for i in range(2 * LEAF + 5)),
+        Polynomial(Fraction(7, i + 2) for i in range(LEAF + 3)),
+    ),
+    # numerator longer than the denominator (t - 4)(t + 1), which stays a
+    # single leaf
+    RationalFunction(
+        Polynomial((i % 7) - 3 for i in range(3 * LEAF + 1)), Polynomial([-4, -3, 1])
+    ),
+)
+
+
+def direct_reference(f, t):
+    """f(t) as sum_i c_i p^i q^(d-i) over the same sum for the denominator,
+    each term its own pow, and one Fraction at the end."""
+    t = Fraction(t)
+    p, q = t.numerator, t.denominator
+    d = max(f.numerator.degree, f.denominator.degree)
+
+    def form(coeffs):
+        return sum(c * pow(p, i) * pow(q, d - i) for i, c in enumerate(coeffs))
+
+    return Fraction(form(f.numerator.coeffs), form(f.denominator.coeffs))
+
+
+class TestBinarySplitting:
+    """Runs longer than the leaf are split in halves and recombined."""
+
+    assert_matches_reference = staticmethod(TestExactEvaluationInIntegers.assert_matches_reference)
+
+    @pytest.mark.parametrize("n", ORDERS_AT_THE_LEAF)
+    def test_polylogs_next_to_the_leaf(self, n):
+        self.assert_matches_reference(polylog_neg_rf(n), ("neg_rf", n))
+        off_the_oracle_pole = [t for t in EVAL_POINTS if Fraction(t) != 1]
+        self.assert_matches_reference(polylog_oracle(n), ("oracle", n), off_the_oracle_pole)
+
+    @pytest.mark.parametrize("index", range(len(LONG_HAND_BUILT)))
+    def test_hand_built_longer_than_the_leaf(self, index):
+        self.assert_matches_reference(LONG_HAND_BUILT[index], index)
+
+    @pytest.mark.parametrize("n", [2 * LEAF - 1, 2 * LEAF, 2 * LEAF + 1, 5 * LEAF])
+    def test_poles_past_the_leaf_raise(self, n):
+        for f, pole in (
+            (polylog_neg_rf(n), -1),
+            (polylog_oracle(n), "1"),
+            (LONG_HAND_BUILT[1], 4),
+        ):
+            with pytest.raises(ZeroDivisionError, match=r"^pole of rational function at t = "):
+                rf_eval_exact(f, pole)
+
+    @pytest.mark.parametrize("n", [100, 300, 1000])
+    def test_sampled_high_orders_against_direct_sums(self, n):
+        # The oracle needs no Stirling triangle, whose row 1000 would hold
+        # about 200 MB for the rest of the session.
+        f = polylog_oracle(n)
+        for t in (Fraction(-7, 3), Fraction(BIG - 11, BIG), Fraction(-(BIG - 39), 999999999989)):
+            assert rf_eval_exact(f, t) == direct_reference(f, t), (n, t)
+
+    @pytest.mark.parametrize("size", [LEAF, LEAF + 1, 2 * LEAF + 1, 5 * LEAF - 3])
+    def test_split_forms_are_the_homogeneous_forms(self, size):
+        # The two forms themselves, not only their quotient, against the
+        # plain sum; odd lengths split into unequal halves.
+        p, q = -7, 3
+        num, den = tuple(range(-5, size - 5)), tuple((-1) ** i * (i + 9) for i in range(size))
+        expected = tuple(
+            sum(c * p**i * q ** (size - 1 - i) for i, c in enumerate(cs)) for cs in (num, den)
+        )
+        assert bernlab.polylog._form_pair_at(num, den, p, q) == expected
+
+
 class TestComposeReciprocal:
     def test_examples(self):
         assert rf_compose_reciprocal(polylog_neg_rf(0)) == RationalFunction(
