@@ -67,9 +67,10 @@ __all__ = [
 
 # Largest size argument a subcommand accepts (bernoulli n, stirling n,
 # table --max, polylog n, identity m + n, oeis-check --max).  At the
-# limit the slowest request is `polylog 1000`, about 1.4 s as a fresh
-# process (growing the Stirling triangle takes 0.4 s, polylog_neg_rf(1000)
-# 0.4 s, and the rest is rendering and import); `identity 500 500` takes
+# limit the slowest request is `polylog 1000`, about 1.1-1.35 s as a
+# fresh process (growing the Stirling triangle takes 0.4 s,
+# polylog_neg_rf(1000) 0.4 s, and the rest is rendering and import;
+# `--at 7/3` adds a 3-6 ms evaluation); `identity 500 500` takes
 # about 1.1-1.3 s, `table bernoulli --max 1000` (a cold Bernoulli table
 # to 1000) 0.3-0.4 s, every other Bernoulli route under 1 s, and the
 # Stirling triangle holds about 200 MB.
@@ -78,10 +79,12 @@ MAX_SIZE = 1000
 # times the digit count of t's numerator or denominator, whichever is
 # longer: the homogeneous forms of the value have about that many
 # digits.  A result must print within the interpreter's 4300-digit limit
-# on int-to-str conversion, and cancelling the gcd removes at most a few
-# thousand digits even at order 1000, so no printable value is refused.
-# An exponent beyond the limit (`--at 1e20000`) is refused while parsing,
-# before the decimal power is built.
+# on int-to-str conversion.  Cancelling the gcd shortens it, but in a
+# sweep of points built to cancel much (t or p + q next to a power of 2,
+# 3, 6, 10 or a primorial, or next to a factorial; 19 orders from 1 to
+# 1000) no printable value measured more than 4806, so the cap refuses
+# none.  An exponent beyond the cap (`--at 1e20000`) is refused while
+# parsing, before Fraction builds the power of ten.
 MAX_AT_DIGITS = 10_000
 # Largest bench sweep; bench_run(60) takes about 1.1 s.
 MAX_BENCH_SUM = 60
