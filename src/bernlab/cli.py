@@ -398,6 +398,13 @@ def _decimal_digits(x: int) -> int:
     return digits - 1 if digits > 1 and x < 10 ** (digits - 1) else digits
 
 
+def _check_str_digits(what: str, digits: int, error: type[Exception] = ValueError) -> None:
+    """Refuse an int past the interpreter's int-str limit; 0 means none, as before 3.10.7."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and digits > limit:
+        raise error(f"{what} has {digits} digits, over the interpreter's int-str limit of {limit}")
+
+
 def _cmd_polylog(args: argparse.Namespace) -> Output:
     _check_size("n", args.n)
     if args.at is not None:
@@ -409,6 +416,8 @@ def _cmd_polylog(args: argparse.Namespace) -> Output:
     at = value = None
     if args.at is not None:
         at, value = str(args.at), rf_eval_exact(f, args.at)
+        digits = max(_decimal_digits(value.numerator), _decimal_digits(value.denominator))
+        _check_str_digits("the value at t", digits)
         plain.append(f"value at t = {at}: {value}")
     return Output(
         plain,
@@ -477,10 +486,7 @@ def _cmd_bench(args: argparse.Namespace) -> Output:
 
 
 def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    value = _any_int(text)
     if value < 0:
         raise argparse.ArgumentTypeError("value must be non-negative")
     return value
@@ -516,18 +522,22 @@ _EXPONENT = re.compile(r"[eE][-+]?0*([\d_]*)\s*$")
 
 
 def _fraction(text: str) -> Fraction:
+    shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
     exponent = _EXPONENT.search(text)
     # Only a prefix one digit longer than the cap is converted, so a huge
     # exponent is refused as quickly as a small one.
     cap_prefix = len(str(MAX_AT_DIGITS)) + 1
     if exponent and int("0" + exponent[1].replace("_", "")[:cap_prefix]) > MAX_AT_DIGITS:
         raise argparse.ArgumentTypeError(
-            f"{text!r} has an exponent beyond the --at cap of {MAX_AT_DIGITS} digits"
+            f"{shown} has an exponent beyond the --at cap of {MAX_AT_DIGITS} digits"
         )
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a rational number") from None
+        # Fraction reads each digit run with int(), bound by the int-str limit.
+        digits = max((len(run.replace("_", "")) for run in re.findall(r"[\d_]+", text)), default=0)
+        _check_str_digits(f"a number in {shown}", digits, argparse.ArgumentTypeError)
+        raise argparse.ArgumentTypeError(f"{shown} is not a rational number") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -638,9 +648,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _emit(args.handler(args), args.format)
-    except BFileParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BenchMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -33,6 +33,7 @@ and the result is the one Fraction of the two values.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -50,6 +51,8 @@ __all__ = [
     "rf_compose_reciprocal",
 ]
 
+
+@dataclass(frozen=True, slots=True)
 class Polynomial:
     """Univariate polynomial with exact coefficients.
 
@@ -57,8 +60,6 @@ class Polynomial:
     the zero polynomial stores an empty tuple and reports degree -1.
     Instances are immutable.
     """
-
-    __slots__ = ("coeffs",)
 
     coeffs: tuple
 
@@ -68,23 +69,12 @@ class Polynomial:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def negate_variable(self) -> "Polynomial":
         """p(-x) as a polynomial in x: flip the sign of odd coefficients."""
@@ -119,6 +109,7 @@ class Polynomial:
 P_ONE = Polynomial([1])
 
 
+@dataclass(frozen=True, slots=True)
 class RationalFunction:
     """Quotient of two Polynomials, held exactly as given.
 
@@ -127,8 +118,6 @@ class RationalFunction:
     with a fixed denominator per order, so coefficient-wise equality and
     hashing agree with equality of the functions they build.  Immutable.
     """
-
-    __slots__ = ("numerator", "denominator")
 
     numerator: Polynomial
     denominator: Polynomial
@@ -140,17 +129,6 @@ class RationalFunction:
             denominator = P_ONE
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "denominator", denominator)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, RationalFunction):
-            return (self.numerator, self.denominator) == (other.numerator, other.denominator)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.numerator, self.denominator))
 
     def negate_variable(self) -> "RationalFunction":
         """f(-x): both parts with x replaced by -x."""

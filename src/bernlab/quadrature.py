@@ -30,8 +30,6 @@ from .exact_arith import beta_integer
 from .polylog import polylog_neg_rf
 
 __all__ = [
-    "DEFAULT_PANELS",
-    "DEFAULT_NODES",
     "MAX_IDENTITY_SUM",
     "MAX_BETA_SUM",
     "QuadratureReport",

@@ -6,6 +6,7 @@ contract: 0 success or PASS, 1 verification FAIL, 2 usage/parse/data
 errors.
 """
 
+import argparse
 import csv
 import io
 import json
@@ -22,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from bernlab import cli, quadrature
 from bernlab.bernoulli import bernoulli_recurrence
+from bernlab.polylog import polylog_neg_rf, rf_eval_exact
 from bernlab.cli import (
     BenchMismatchError,
     BenchRow,
@@ -599,6 +601,18 @@ class TestBernoulliCommand:
         code, _, err = run_capture(capsys, "bernoulli", "-1")
         assert code == 2 and "non-negative" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["bernoulli", "x"], "argument n: 'x' is not an integer"),
+        (["bernoulli", "-1"], "argument n: value must be non-negative"),
+        (["stirling", "3", "1.5"], "argument k: '1.5' is not an integer"),
+        (["verify-integral", "1", "1", "--panels", "0"], "argument --panels: value must be positive"),
+        (["verify-integral", "1", "1", "--panels", "y"], "argument --panels: 'y' is not an integer"),
+    ])
+    def test_integer_argument_messages(self, capsys, argv, message):
+        code, out, err = run_capture(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: {message}\n")
+
 
 class TestOtherValueCommands:
     def test_stirling(self, capsys):
@@ -1028,6 +1042,85 @@ class TestPolylogValueLimit:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert f"capped at {MAX_AT_DIGITS}" in proc.stderr
         assert elapsed < 2.0
+
+
+@pytest.fixture
+def set_str_digit_limit():
+    """sys.set_int_max_str_digits for one test; the old limit comes back after it."""
+    old = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(old)
+
+
+class TestInterpreterDigitLimit:
+    """The interpreter converts no int of more digits than its limit to or
+    from str; an --at part or a value past it is refused by name."""
+
+    def test_unprintable_value_names_the_limit(self, capsys, set_str_digit_limit):
+        # (n + 1) * digits of --at is 5050, under MAX_AT_DIGITS, so the value
+        # is evaluated; it has 5005 digits.
+        set_str_digit_limit(4300)
+        code, out, err = run_capture(capsys, "polylog", "100", "--at", "9" * 50)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: the value at t has 5005 digits, over the interpreter's int-str limit of 4300\n"
+        )
+
+    def test_value_at_the_limit_prints(self, capsys, set_str_digit_limit):
+        at = "123456789/1000"
+        value = rf_eval_exact(polylog_neg_rf(80), Fraction(at))
+        digits = max(len(str(value.numerator)), len(str(value.denominator)))
+        set_str_digit_limit(digits)
+        code, out, err = run_capture(capsys, "polylog", "80", "--at", at)
+        assert (code, err) == (0, "")
+        assert out.endswith(f"value at t = {at}: {value}\n")
+        set_str_digit_limit(digits - 1)
+        code, out, err = run_capture(capsys, "polylog", "80", "--at", at)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"has {digits} digits, over the interpreter's int-str limit of {digits - 1}\n")
+
+    def test_no_limit_prints_every_value(self, capsys, set_str_digit_limit):
+        set_str_digit_limit(0)
+        code, out, err = run_capture(capsys, "polylog", "100", "--at", "9" * 50)
+        assert (code, err) == (0, "")
+        assert out.endswith(f"{rf_eval_exact(polylog_neg_rf(100), Fraction('9' * 50))}\n")
+
+    def test_over_long_at_part_names_the_limit(self, capsys, set_str_digit_limit):
+        set_str_digit_limit(4300)
+        code, out, err = run_capture(capsys, "polylog", "0", "--at", "1/" + "7" * 4400)
+        assert (code, out) == (2, "")
+        assert len(err.encode()) < 300
+        assert err.endswith(
+            f"argument --at: a number in '1/{'7' * 38}'... has 4400 digits, over the "
+            "interpreter's int-str limit of 4300\n"
+        )
+
+    def test_digit_run_at_the_limit_parses(self, set_str_digit_limit):
+        set_str_digit_limit(4300)
+        assert cli._fraction("-1/" + "7" * 4300) == Fraction(-1, int("7" * 4300))
+        assert cli._fraction("7" * 2150 + "_" + "7" * 2150) == int("7" * 4300)
+
+    def test_underscores_are_not_digits(self, set_str_digit_limit):
+        set_str_digit_limit(4300)
+        with pytest.raises(argparse.ArgumentTypeError, match=r"\.\.\. has 4401 digits, over"):
+            cli._fraction("7_" * 4400 + "7")
+        with pytest.raises(argparse.ArgumentTypeError, match=r"\.\.\. is not a rational number$"):
+            cli._fraction("1_" * 2200 + "x")
+
+    @pytest.mark.parametrize("at,message", [
+        ("abc", "'abc' is not a rational number"),
+        ("x" * 40, f"'{'x' * 40}' is not a rational number"),
+        ("x" * 41, f"'{'x' * 40}'... is not a rational number"),
+        ("1/0", "'1/0' is not a rational number"),
+        ("x" * 5000, f"'{'x' * 40}'... is not a rational number"),
+        ("1e" + "9" * 5000, f"'1e{'9' * 38}'... has an exponent beyond the --at cap"),
+    ], ids=["word", "40-char-word", "41-char-word", "zero-denominator", "5000-char-word",
+            "5000-digit-exponent"])
+    def test_bad_at_messages_echo_a_short_prefix(self, capsys, at, message):
+        code, out, err = run_capture(capsys, "polylog", "0", f"--at={at}")
+        assert (code, out) == (2, "")
+        assert len(err.encode()) < 300
+        assert f"argument --at: {message}" in err
 
 
 class TestSharedParser:

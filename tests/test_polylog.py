@@ -75,6 +75,42 @@ class TestRationalFunctionCanonicalForm:
             RationalFunction(ONE, Polynomial())
 
 
+class TestValueSemantics:
+    """Both types are frozen values: equal and hashed by their parts, and
+    closed to assignment."""
+
+    def test_rational_function_is_immutable(self):
+        f = RationalFunction(Polynomial([0, -1, 1]), one_plus_t(3))
+        with pytest.raises(AttributeError):
+            f.numerator = ONE
+        with pytest.raises(AttributeError):
+            del f.denominator
+        assert (f.numerator, f.denominator) == (Polynomial([0, -1, 1]), one_plus_t(3))
+
+    def test_no_new_attribute_can_be_added(self):
+        # CPython 3.11's generated __setattr__ of a frozen slotted class
+        # raises TypeError, not AttributeError, for a name that is not a field.
+        for value in (ONE, RationalFunction(T, ONE_PLUS_T)):
+            assert not hasattr(value, "__dict__")
+            with pytest.raises((AttributeError, TypeError)):
+                value.extra = 1
+            assert not hasattr(value, "extra")
+
+    def test_equal_values_hash_equal(self):
+        a, b = Polynomial([1, 2, 0]), Polynomial((1, 2))
+        assert a == b and a is not b and hash(a) == hash(b)
+        f = RationalFunction(Polynomial([0, -1]), ONE_PLUS_T)
+        assert f == polylog_neg_rf(0) and hash(f) == hash(polylog_neg_rf(0))
+        for n in (1, 7, 40):
+            assert len({polylog_stirling_form(n), polylog_oracle(n).negate_variable()}) == 1
+
+    def test_never_equal_to_another_type(self):
+        assert Polynomial([1]) != (1,) and (1,) != Polynomial([1])
+        assert Polynomial([1]) != 1 and Polynomial() != ()
+        for f in (RationalFunction(ONE), RationalFunction(Polynomial())):
+            assert f != f.numerator and f.numerator != f
+
+
 class TestStirlingForm:
     def test_order_one(self):
         assert polylog_stirling_form(1) == RationalFunction(Polynomial([0, -1]), one_plus_t(2))
