@@ -7,9 +7,10 @@ looks at `--format` (plain, csv or json).  The argument parser is built
 once per process, on the first `run` call, and reused by every later
 one.  Exit-code contract: 0 for success or PASS, 1 for a verification
 FAIL, 2 for usage, parse, or data errors.  Size arguments above
-`MAX_SIZE`, a `polylog --at` value above `MAX_AT_DIGITS`, a bench sweep
-above `MAX_BENCH_SUM` and quadrature rules above `MAX_PANELS` or
-`MAX_NODES` are refused with exit 2 before any work starts.
+`MAX_SIZE`, an `oeis-check --max` above `MAX_OEIS_CHECK`, a `polylog
+--at` value above `MAX_AT_DIGITS`, a bench sweep above `MAX_BENCH_SUM`
+and quadrature rules above `MAX_PANELS` or `MAX_NODES` are refused with
+exit 2 before any work starts.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ __all__ = [
     "MAX_PANELS",
     "MAX_SIZE",
     "MAX_AT_DIGITS",
+    "MAX_OEIS_CHECK",
     "parse_bfile",
-    "render_bfile",
     "oeis_check",
     "bench_run",
     "build_parser",
@@ -66,7 +67,7 @@ __all__ = [
 ]
 
 # Largest size argument a subcommand accepts (bernoulli n, stirling n,
-# table --max, polylog n, identity m + n, oeis-check --max).  At the
+# table --max, polylog n, identity m + n).  At the
 # limit the slowest request is `polylog 1000`, about 1.1-1.35 s as a
 # fresh process (growing the Stirling triangle takes 0.4 s,
 # polylog_neg_rf(1000) 0.4 s, and the rest is rendering and import;
@@ -86,6 +87,11 @@ MAX_SIZE = 1000
 # none.  An exponent beyond the cap (`--at 1e20000`) is refused while
 # parsing, before Fraction builds the power of ten.
 MAX_AT_DIGITS = 10_000
+# Largest oeis-check --max.  Each index takes one balanced split, so the
+# sweep grows about as max^4: with files complete to 1000, a fresh
+# process took 0.65-0.8 s at 300, 1.05-1.15 s at 350, 1.8-2.1 s at 400,
+# 5.3 s at 500 and about a minute at 1000.
+MAX_OEIS_CHECK = 300
 # Largest bench sweep; bench_run(60) takes about 1.1 s.
 MAX_BENCH_SUM = 60
 # Largest quadrature rule of verify-integral and beta-check.  Building a
@@ -144,11 +150,6 @@ def parse_bfile(text: str) -> list[BFileEntry]:
         last = index
         entries.append(BFileEntry(index, value))
     return entries
-
-
-def render_bfile(entries: Sequence[BFileEntry]) -> str:
-    """Inverse of parse_bfile (up to comments and blank lines)."""
-    return "".join(f"{e.index} {e.value}\n" for e in entries)
 
 
 @dataclass(frozen=True)
@@ -219,7 +220,6 @@ def _median_time(fn: Callable[[], Fraction], repeats: int) -> tuple[Fraction, fl
 def bench_run(
     max_sum: int,
     repeats: int = 5,
-    whole_methods: Optional[dict[str, Callable[[int], Fraction]]] = None,
     split_fn: Optional[Callable[[int, int], Fraction]] = None,
 ) -> list[BenchRow]:
     """Time every strategy at every N <= max_sum; for the split sum, sweep
@@ -238,18 +238,17 @@ def bench_run(
         raise ValueError(f"max_sum is capped at {MAX_BENCH_SUM}, got {max_sum}")
     if repeats < 1:
         raise ValueError(f"repeats must be positive, got {repeats}")
-    if whole_methods is None:
-        whole_methods = {
-            "recurrence": lambda k: BernoulliTable().value(k),
-            "stirling-sum": bernoulli_stirling_sum,
-        }
+    methods = {
+        "recurrence": lambda k: BernoulliTable().value(k),
+        "stirling-sum": bernoulli_stirling_sum,
+    }
     if split_fn is None:
         split_fn = bernoulli_split
     stirling2_row(max_sum)  # warm the shared triangle once, outside the clocks
     rows: list[BenchRow] = []
     for n in range(max_sum + 1):
         reference = bernoulli_recurrence(n)
-        for name, fn in whole_methods.items():
+        for name, fn in methods.items():
             value, seconds = _median_time(lambda: fn(n), repeats)
             if value != reference:
                 raise BenchMismatchError(
@@ -446,7 +445,7 @@ def _cmd_beta_check(args: argparse.Namespace) -> Output:
 
 
 def _cmd_oeis_check(args: argparse.Namespace) -> Output:
-    _check_size("--max", args.max)
+    _check_size("--max", args.max, MAX_OEIS_CHECK)
     numerators = parse_bfile(Path(args.numerators).read_text())
     denominators = parse_bfile(Path(args.denominators).read_text())
     rows = oeis_check(numerators, denominators, args.max)

@@ -13,11 +13,7 @@ __all__ = ["binomial", "beta_integer"]
 
 
 def binomial(n: int, k: int) -> int:
-    """Exact C(n, k), defined as 0 outside 0 <= k <= n.
-
-    The zero convention lets double sums over (k, l) run over full
-    rectangles without boundary special cases.
-    """
+    """Exact C(n, k), defined as 0 outside 0 <= k <= n."""
     if n < 0:
         raise ValueError(f"binomial requires n >= 0, got n={n}")
     if k < 0 or k > n:

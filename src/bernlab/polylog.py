@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Polynomial:
     """Univariate polynomial with exact coefficients.
 
@@ -99,17 +99,11 @@ class Polynomial:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
 
-    def __str__(self) -> str:
-        return self.render()
-
-    def __repr__(self) -> str:
-        return f"Polynomial({self.render()})"
-
 
 P_ONE = Polynomial([1])
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class RationalFunction:
     """Quotient of two Polynomials, held exactly as given.
 
@@ -139,12 +133,6 @@ class RationalFunction:
         if self.denominator == P_ONE:
             return num
         return f"({num})/({self.denominator.render(var)})"
-
-    def __str__(self) -> str:
-        return self.render()
-
-    def __repr__(self) -> str:
-        return f"RationalFunction({self.render()})"
 
 
 # Runs of at most this many coefficients are evaluated by one Horner
@@ -219,7 +207,6 @@ def _one_plus_t_power(e: int) -> Polynomial:
     return Polynomial(comb(e, i) for i in range(e + 1))
 
 
-@lru_cache(maxsize=None)
 def polylog_stirling_form(n: int) -> RationalFunction:
     """The literal finite sum sum_{k=0}^{n} k! S(n,k) (-t)^k / (1+t)^(k+1).
 
@@ -246,8 +233,6 @@ def polylog_stirling_form(n: int) -> RationalFunction:
 @lru_cache(maxsize=None)
 def polylog_neg_rf(n: int) -> RationalFunction:
     """The true Li_{-n}(-t) as a rational function of t in lowest terms, n >= 0."""
-    if n < 0:
-        raise ValueError(f"polylog order must be non-negative, got {n}")
     if n == 0:
         # geometric series x/(1-x) at x = -t
         return RationalFunction(Polynomial([0, -1]), _one_plus_t_power(1))

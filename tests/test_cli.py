@@ -32,13 +32,13 @@ from bernlab.cli import (
     MAX_AT_DIGITS,
     MAX_BENCH_SUM,
     MAX_NODES,
+    MAX_OEIS_CHECK,
     MAX_PANELS,
     MAX_SIZE,
     bench_run,
     main,
     oeis_check,
     parse_bfile,
-    render_bfile,
     run,
 )
 
@@ -100,7 +100,7 @@ class TestParseBfile:
     @settings(max_examples=60, deadline=None)
     def test_render_parse_roundtrip(self, pairs):
         entries = [BFileEntry(i, v) for i, v in sorted(pairs)]
-        assert parse_bfile(render_bfile(entries)) == entries
+        assert parse_bfile("".join(f"{i} {v}\n" for i, v in entries)) == entries
 
     def test_shipped_fixtures_parse(self):
         nums = parse_bfile(Path(NUMERATORS).read_text())
@@ -172,9 +172,10 @@ class TestBenchRun:
         with pytest.raises(BenchMismatchError, match="disagrees"):
             bench_run(2, repeats=1, split_fn=lambda m, k: Fraction(0))
 
-    def test_mismatching_whole_method_aborts(self):
-        with pytest.raises(BenchMismatchError, match="'bogus' disagrees at n=0"):
-            bench_run(2, repeats=1, whole_methods={"bogus": lambda n: Fraction(1, 3)})
+    def test_mismatching_whole_method_aborts(self, monkeypatch):
+        monkeypatch.setattr(cli, "bernoulli_stirling_sum", lambda n: Fraction(1, 3))
+        with pytest.raises(BenchMismatchError, match="'stirling-sum' disagrees at n=0"):
+            bench_run(2, repeats=1)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
@@ -778,6 +779,11 @@ class TestQuadratureCommands:
         assert (code, out) == (2, "")
         assert "usage:" in err and "finite and non-negative" in err
 
+    def test_tolerance_must_be_a_number(self, capsys):
+        code, out, err = run_capture(capsys, "verify-integral", "2", "2", "--tol", "abc")
+        assert (code, out) == (2, "")
+        assert "argument --tol: invalid float value: 'abc'" in err
+
     def test_zero_tolerance_is_accepted(self, capsys):
         code, out, _ = run_capture(capsys, "beta-check", "0", "0", "--tol", "0")
         assert code in (0, 1) and "(tol 0)" in out
@@ -801,6 +807,10 @@ class TestOeisCheckCommand:
         lines = out.splitlines()
         assert lines[0] == "n=0 PASS"
         assert lines[-1] == "31/31 PASS"
+
+    def test_cap_admits_the_shipped_files_and_is_tighter_than_max_size(self):
+        # The sweep grows about as --max^4; MAX_SIZE would run a minute.
+        assert 30 <= MAX_OEIS_CHECK < MAX_SIZE
 
     def test_json_shape(self, capsys):
         code, out, _ = run_capture(
@@ -873,6 +883,15 @@ class TestBenchCommand:
         assert payload["max_sum"] == 2
         assert payload["rows"][0]["method"] == "recurrence"
         assert payload["rows"][0]["split_m"] is None
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_mismatch_exits_one(self, capsys, monkeypatch, fmt):
+        real = cli.bernoulli_split
+        monkeypatch.setattr(cli, "bernoulli_split", lambda m, n: real(m, n) + 1)
+        code, out, err = run_capture(capsys, "bench", "--max-sum", "2", "--format", fmt)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: split (0, 0) disagrees at n=0")
 
     def test_oversized_sweep_is_a_usage_error(self, capsys):
         code, _, err = run_capture(capsys, "bench", "--max-sum", "500")
@@ -955,12 +974,13 @@ class TestCostGuards:
         ["identity", str(MAX_SIZE // 2), str(MAX_SIZE - MAX_SIZE // 2 + 1)],
         ["polylog", str(MAX_SIZE + 1), "--at", "1/2"],
         ["oeis-check", "--numerators", NUMERATORS, "--denominators", DENOMINATORS,
-         "--max", str(MAX_SIZE + 1)],
+         "--max", str(MAX_OEIS_CHECK + 1)],
     ])
     def test_size_past_the_limit_exits_two(self, capsys, argv):
+        limit = MAX_OEIS_CHECK if argv[0] == "oeis-check" else MAX_SIZE
         code, out, err = run_capture(capsys, *argv)
         assert (code, out) == (2, "")
-        assert f"is capped at {MAX_SIZE}, got {MAX_SIZE + 1}" in err
+        assert f"is capped at {limit}, got {limit + 1}" in err
 
     @pytest.mark.parametrize("argv,size", [
         (["polylog", "9", "--at", "1e1000"], 10 * 1001),
