@@ -54,11 +54,10 @@ class BernoulliTable:
     so a shared instance may be read from any thread.
     """
 
-    def __init__(self, max_n: int = 0):
+    def __init__(self):
         self._values: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
         self._row = [1]  # A_0
         self._lock = threading.Lock()
-        self.extend_to(max_n)
 
     @property
     def max_n(self) -> int:

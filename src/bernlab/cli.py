@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .bernoulli import (
     BernoulliTable,
@@ -47,7 +47,6 @@ from .quadrature import (
 )
 
 __all__ = [
-    "BFileEntry",
     "BFileParseError",
     "BenchMismatchError",
     "BenchRow",
@@ -78,14 +77,18 @@ __all__ = [
 MAX_SIZE = 1000
 # Largest exact value `polylog n --at t` computes, measured as (n + 1)
 # times the digit count of t's numerator or denominator, whichever is
-# longer: the homogeneous forms of the value have about that many
-# digits.  A result must print within the interpreter's 4300-digit limit
-# on int-to-str conversion.  Cancelling the gcd shortens it, but in a
+# longer.  The homogeneous forms of the value can have up to about
+# log10(n!) digits more, the size of the largest coefficient (2568 at
+# n = 1000).  The cap bounds the evaluation work; the interpreter's
+# 4300-digit limit on int-to-str conversion bounds what prints.
+# `polylog 1000 --at 99999999` (8008 under the cap) evaluates in 6 ms,
+# and its 8830-digit numerator exits 2 with that limit named, in 1.0 s
+# as a fresh process.  Cancelling the gcd shortens a value, but in a
 # sweep of points built to cancel much (t or p + q next to a power of 2,
 # 3, 6, 10 or a primorial, or next to a factorial; 19 orders from 1 to
-# 1000) no printable value measured more than 4806, so the cap refuses
-# none.  An exponent beyond the cap (`--at 1e20000`) is refused while
-# parsing, before Fraction builds the power of ten.
+# 1000) no value short enough to print measured more than 4806, so the
+# cap refuses none.  An exponent beyond the cap (`--at 1e20000`) is
+# refused while parsing, before Fraction builds the power of ten.
 MAX_AT_DIGITS = 10_000
 # Largest oeis-check --max.  Each index takes one balanced split, so the
 # sweep grows about as max^4: with files complete to 1000, a fresh
@@ -110,13 +113,13 @@ def rational_json(q: Fraction) -> dict[str, str]:
     return {"num": str(q.numerator), "den": str(q.denominator)}
 
 
+def _shown(text: str) -> str:
+    """repr of text for an error message, cut to its first 40 characters."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
+
+
 # ---------------------------------------------------------------------------
 # b-files (OEIS-style "index value" lines)
-
-
-class BFileEntry(NamedTuple):
-    index: int
-    value: int
 
 
 class BFileParseError(ValueError):
@@ -127,10 +130,10 @@ class BFileParseError(ValueError):
         self.lineno = lineno
 
 
-def parse_bfile(text: str) -> list[BFileEntry]:
-    """Parse b-file text: one 'index value' pair per line, '#' comments
-    and blank lines ignored, indices strictly increasing."""
-    entries: list[BFileEntry] = []
+def parse_bfile(text: str) -> dict[int, int]:
+    """Parse b-file text into {index: value}: one 'index value' pair per
+    line, '#' comments and blank lines ignored, indices strictly increasing."""
+    entries: dict[int, int] = {}
     last: Optional[int] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -138,17 +141,20 @@ def parse_bfile(text: str) -> list[BFileEntry]:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise BFileParseError(lineno, f"expected 'index value', got {raw!r}")
+            raise BFileParseError(lineno, f"expected 'index value', got {_shown(raw)}")
         try:
             index, value = int(parts[0]), int(parts[1])
         except ValueError:
-            raise BFileParseError(lineno, f"non-integer token in {raw!r}") from None
+            digits = max(map(len, re.findall(r"\d+", line.replace("_", ""))), default=0)
+            error = functools.partial(BFileParseError, lineno)
+            _check_str_digits(f"a number in {_shown(raw)}", digits, error)
+            raise BFileParseError(lineno, f"non-integer token in {_shown(raw)}") from None
         if last is not None and index <= last:
             raise BFileParseError(
                 lineno, f"indices must be strictly increasing, got {index} after {last}"
             )
         last = index
-        entries.append(BFileEntry(index, value))
+        entries[index] = value
     return entries
 
 
@@ -162,7 +168,7 @@ class OeisRow:
 
 
 def oeis_check(
-    numerators: Sequence[BFileEntry], denominators: Sequence[BFileEntry], max_n: int
+    numerators: Mapping[int, int], denominators: Mapping[int, int], max_n: int
 ) -> list[OeisRow]:
     """Compare numerator/denominator b-file pairs against B_n computed by
     the recurrence and by the balanced split sum, for every 0 <= n <= max_n.
@@ -171,15 +177,13 @@ def oeis_check(
     """
     if max_n < 0:
         raise ValueError(f"max_n must be non-negative, got {max_n}")
-    nums = {e.index: e.value for e in numerators}
-    dens = {e.index: e.value for e in denominators}
     rows: list[OeisRow] = []
     for n in range(max_n + 1):
-        if n not in nums:
+        if n not in numerators:
             raise ValueError(f"numerator file does not cover index {n}")
-        if n not in dens:
+        if n not in denominators:
             raise ValueError(f"denominator file does not cover index {n}")
-        file_value = Fraction(nums[n], dens[n])
+        file_value = Fraction(numerators[n], denominators[n])
         rec = bernoulli_recurrence(n)
         spl = bernoulli_split(n // 2, n - n // 2)
         rows.append(OeisRow(n, file_value, rec, spl, file_value == rec and file_value == spl))
@@ -397,7 +401,7 @@ def _decimal_digits(x: int) -> int:
     return digits - 1 if digits > 1 and x < 10 ** (digits - 1) else digits
 
 
-def _check_str_digits(what: str, digits: int, error: type[Exception] = ValueError) -> None:
+def _check_str_digits(what: str, digits: int, error: Callable[[str], Exception] = ValueError) -> None:
     """Refuse an int past the interpreter's int-str limit; 0 means none, as before 3.10.7."""
     limit = getattr(sys, "get_int_max_str_digits", int)()
     if limit and digits > limit:
@@ -515,27 +519,35 @@ def _tolerance(text: str) -> float:
     return value
 
 
-# The exponent of a decimal such as 1.5e-7, without its sign or leading
-# zeros; Fraction would build 10**exponent.
-_EXPONENT = re.compile(r"[eE][-+]?0*([\d_]*)\s*$")
+# Fraction's string grammar as of Python 3.12.  Its groups are the digit
+# runs Fraction reads with int(): numerator, denominator, decimal part and
+# exponent.  Older interpreters read the same text once the underscores
+# and spaces are taken out, so `--at` has one grammar on every interpreter.
+_DIGITS = r"(\d+(?:_\d+)*)"
+_RATIONAL = re.compile(
+    rf"\s*[-+]?(?=\.?\d){_DIGITS}?"
+    rf"(?:\s*/\s*{_DIGITS}|(?:\.{_DIGITS}?)?(?:[eE][-+]?{_DIGITS})?)\s*"
+)
 
 
 def _fraction(text: str) -> Fraction:
-    shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
-    exponent = _EXPONENT.search(text)
+    shown = _shown(text)
+    match = _RATIONAL.fullmatch(text)
+    if not match:
+        raise argparse.ArgumentTypeError(f"{shown} is not a rational number")
+    exponent = match[4]
     # Only a prefix one digit longer than the cap is converted, so a huge
     # exponent is refused as quickly as a small one.
     cap_prefix = len(str(MAX_AT_DIGITS)) + 1
-    if exponent and int("0" + exponent[1].replace("_", "")[:cap_prefix]) > MAX_AT_DIGITS:
+    if exponent and int("0" + exponent.replace("_", "").lstrip("0")[:cap_prefix]) > MAX_AT_DIGITS:
         raise argparse.ArgumentTypeError(
             f"{shown} has an exponent beyond the --at cap of {MAX_AT_DIGITS} digits"
         )
+    digits = max((len(run.replace("_", "")) for run in match.groups() if run), default=0)
+    _check_str_digits(f"a number in {shown}", digits, argparse.ArgumentTypeError)
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        # Fraction reads each digit run with int(), bound by the int-str limit.
-        digits = max((len(run.replace("_", "")) for run in re.findall(r"[\d_]+", text)), default=0)
-        _check_str_digits(f"a number in {shown}", digits, argparse.ArgumentTypeError)
+        return Fraction(re.sub(r"[\s_]", "", text))
+    except ZeroDivisionError:
         raise argparse.ArgumentTypeError(f"{shown} is not a rational number") from None
 
 

@@ -37,11 +37,9 @@ class StirlingTriangle:
     mutated, and reads of completed rows are plain list indexing.
     """
 
-    def __init__(self, max_n: int = 0):
+    def __init__(self):
         self._rows: list[list[int]] = [[1]]
         self._lock = threading.Lock()
-        if max_n > 0:
-            self.extend_to(max_n)
 
     @property
     def max_n(self) -> int:
@@ -90,9 +88,9 @@ def stirling2_row(n: int) -> list[int]:
 def stirling2_bruteforce(n: int, k: int) -> int:
     """S(n, k) by exhaustively enumerating set partitions of {1..n}.
 
-    Partitions are walked as restricted growth strings and tallied by
-    block count; the full tally for a given n is cached so asking for
-    every k costs one enumeration.  Refuses n > BRUTE_FORCE_MAX_N.
+    Every partition is built and tallied by block count; the full tally
+    for a given n is cached so asking for every k costs one enumeration.
+    Refuses n > BRUTE_FORCE_MAX_N.
     """
     if n < 0:
         raise ValueError(f"Stirling numbers need n >= 0, got n={n}")
@@ -108,27 +106,20 @@ def stirling2_bruteforce(n: int, k: int) -> int:
 @lru_cache(maxsize=None)
 def _block_counts(n: int) -> tuple[int, ...]:
     """counts[k] = number of partitions of an n-set into exactly k blocks,
-    found by visiting every restricted growth string of length n."""
-    if n == 0:
-        return (1,)
+    found by building every partition once: element i joins one of the
+    blocks built so far or opens a new one, and each finished partition
+    adds 1 to the count of its blocks."""
     counts = [0] * (n + 1)
-    a = [0] * n          # a[i]: block index of element i; a[0] stays 0
-    b = [1] * n          # b[i] = 1 + max(a[:i]) for i >= 1
-    last = n - 1
-    while True:
-        ai, bi = a[last], b[last]
-        counts[bi if ai < bi else ai + 1] += 1
-        j = last
-        while j > 0 and a[j] == b[j]:
-            j -= 1
-        if j == 0:
-            break
-        aj = a[j] + 1
-        a[j] = aj
-        nb = b[j] + 1 if aj == b[j] else b[j]
-        for i in range(j + 1, n):
-            a[i] = 0
-            b[i] = nb
+
+    def place(i: int, blocks: int) -> None:
+        if i == n:
+            counts[blocks] += 1
+            return
+        for _ in range(blocks):
+            place(i + 1, blocks)
+        place(i + 1, blocks + 1)
+
+    place(0, 0)
     return tuple(counts)
 
 

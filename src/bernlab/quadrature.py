@@ -66,10 +66,16 @@ class QuadratureReport:
     n: int
     estimate: float
     expected: Fraction
-    abs_error: float
-    rel_error: float
     panels: int
     nodes: int
+
+    @property
+    def abs_error(self) -> float:
+        return abs(self.estimate - float(self.expected))
+
+    @property
+    def rel_error(self) -> float:
+        return self.abs_error / max(1.0, abs(float(self.expected)))
 
 
 @lru_cache(maxsize=None)
@@ -227,21 +233,6 @@ def expected_integral_value(m: int, n: int) -> Fraction:
     return bernoulli_recurrence(s)
 
 
-def _report(m: int, n: int, estimate: float, expected: Fraction, panels: int, nodes: int) -> QuadratureReport:
-    abs_error = abs(estimate - float(expected))
-    rel_error = abs_error / max(1.0, abs(float(expected)))
-    return QuadratureReport(
-        m=m,
-        n=n,
-        estimate=estimate,
-        expected=expected,
-        abs_error=abs_error,
-        rel_error=rel_error,
-        panels=panels,
-        nodes=nodes,
-    )
-
-
 def verify_integral(
     m: int, n: int, panels: int = DEFAULT_PANELS, nodes: int = DEFAULT_NODES
 ) -> QuadratureReport:
@@ -257,7 +248,7 @@ def verify_integral(
     _, ws = _panel_rule(panels, nodes)
     right, left = _form_at_nodes(n, panels, nodes), _form_at_nodes(m, panels, nodes)
     estimate = math.fsum(w * a * b for w, a, b in zip(ws, right, reversed(left)))
-    return _report(m, n, estimate, expected_integral_value(m, n), panels, nodes)
+    return QuadratureReport(m, n, estimate, expected_integral_value(m, n), panels, nodes)
 
 
 def beta_quadrature_check(
@@ -274,4 +265,4 @@ def beta_quadrature_check(
     # t^k / (1+t)^(k+l+2) dt = u^k (1-u)^l du
     us, ws = _panel_rule(panels, nodes)
     estimate = math.fsum(w * u**k * (1.0 - u) ** l for u, w in zip(us, ws))
-    return _report(k, l, estimate, beta_integer(k + 1, l + 1), panels, nodes)
+    return QuadratureReport(k, l, estimate, beta_integer(k + 1, l + 1), panels, nodes)

@@ -70,7 +70,8 @@ class TestRecurrence:
             bernoulli_recurrence(-1)
 
     def test_fresh_table_matches_shared(self):
-        fresh = BernoulliTable(max_n=10)
+        fresh = BernoulliTable()
+        fresh.extend_to(10)
         assert fresh.max_n == 10
         for n in range(61):
             assert fresh.value(n) == bernoulli_recurrence(n)
@@ -90,7 +91,8 @@ class TestRecurrence:
         # odd indices >= 3 are stored by parity, even ones from the zigzag
         # numbers; B_0 and B_1 are seeded
         mpmath = pytest.importorskip("mpmath")
-        table = BernoulliTable(max_n=MAX_SIZE)
+        table = BernoulliTable()
+        table.extend_to(MAX_SIZE)
         for n in range(MAX_SIZE + 1):
             assert table.value(n) == Fraction(*mpmath.bernfrac(n)), n
 
@@ -98,7 +100,8 @@ class TestRecurrence:
         stepped = BernoulliTable()
         for top in (3, 7, 400, 500):
             stepped.extend_to(top)
-        single = BernoulliTable(max_n=500)
+        single = BernoulliTable()
+        single.extend_to(500)
         assert stepped._values == single._values
         assert stepped._row == single._row
 
@@ -110,7 +113,9 @@ class TestRecurrence:
         stepped = BernoulliTable()
         for top in (2, 3, 4, 9, 10, 13, 21):
             stepped.extend_to(top)
-            for table in (stepped, BernoulliTable(max_n=top)):
+            single = BernoulliTable()
+            single.extend_to(top)
+            for table in (stepped, single):
                 assert table.max_n == len(table._row) == top
                 assert table._row[-1] == ZIGZAG[top - 1], top
 
@@ -120,7 +125,8 @@ class TestRecurrence:
 
         monkeypatch.setattr(combinatorics, "stirling2_row", refuse)
         monkeypatch.setattr(bernoulli, "stirling2_row", refuse)
-        table = BernoulliTable(max_n=200)
+        table = BernoulliTable()
+        table.extend_to(200)
         assert table.value(30) == Fraction(8615841276005, 14322)
         assert table.value(200) == bernoulli_recurrence(200)
 
@@ -149,7 +155,8 @@ class TestRecurrence:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        reference = BernoulliTable(max_n=300)
+        reference = BernoulliTable()
+        reference.extend_to(300)
         assert shared.max_n == 300
         for n in range(301):
             assert shared.value(n) == reference.value(n), n

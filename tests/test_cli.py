@@ -27,7 +27,6 @@ from bernlab.polylog import polylog_neg_rf, rf_eval_exact
 from bernlab.cli import (
     BenchMismatchError,
     BenchRow,
-    BFileEntry,
     BFileParseError,
     MAX_AT_DIGITS,
     MAX_BENCH_SUM,
@@ -48,22 +47,22 @@ DENOMINATORS = str(DATA_DIR / "bernoulli_denominators.txt")
 
 
 def good_entries(max_n):
-    nums = [BFileEntry(n, bernoulli_recurrence(n).numerator) for n in range(max_n + 1)]
-    dens = [BFileEntry(n, bernoulli_recurrence(n).denominator) for n in range(max_n + 1)]
+    nums = {n: bernoulli_recurrence(n).numerator for n in range(max_n + 1)}
+    dens = {n: bernoulli_recurrence(n).denominator for n in range(max_n + 1)}
     return nums, dens
 
 
 class TestParseBfile:
     def test_basic(self):
         text = "# leading comment\n0 1\n1 -1\n\n# interlude\n2 1\n"
-        assert parse_bfile(text) == [BFileEntry(0, 1), BFileEntry(1, -1), BFileEntry(2, 1)]
+        assert list(parse_bfile(text).items()) == [(0, 1), (1, -1), (2, 1)]
 
     def test_whitespace_tolerance(self):
-        assert parse_bfile("  3   42  \n") == [BFileEntry(3, 42)]
+        assert list(parse_bfile("  3   42  \n").items()) == [(3, 42)]
 
     def test_empty_text(self):
-        assert parse_bfile("") == []
-        assert parse_bfile("# only a comment\n") == []
+        assert list(parse_bfile("").items()) == []
+        assert list(parse_bfile("# only a comment\n").items()) == []
 
     def test_non_integer_token(self):
         with pytest.raises(BFileParseError, match=r"line 1: non-integer token"):
@@ -90,6 +89,26 @@ class TestParseBfile:
         with pytest.raises(ValueError):
             parse_bfile("x y")
 
+    def test_messages_echo_a_short_prefix_of_the_line(self):
+        line = "1 2 " + "3" * 5000
+        with pytest.raises(BFileParseError) as exc_info:
+            parse_bfile(line)
+        assert str(exc_info.value) == f"line 1: expected 'index value', got {line[:40]!r}..."
+        with pytest.raises(BFileParseError) as exc_info:
+            parse_bfile("1 x" + "y" * 5000)
+        assert str(exc_info.value) == f"line 1: non-integer token in '1 x{'y' * 37}'..."
+
+    def test_value_past_the_digit_limit_names_it(self, set_str_digit_limit):
+        set_str_digit_limit(4300)
+        with pytest.raises(BFileParseError, match=(
+            r"^line 2: a number in '3000 7{35}'\.\.\. has 4400 digits, "
+            r"over the interpreter's int-str limit of 4300$"
+        )):
+            parse_bfile("0 1\n3000 " + "7" * 4400)
+        assert parse_bfile("3000 " + "7_" * 2149 + "7") == {3000: int("7" * 2150)}
+        set_str_digit_limit(0)
+        assert parse_bfile("3000 " + "7" * 4400) == {3000: int("7" * 4400)}
+
     @given(
         st.lists(
             st.tuples(st.integers(-10**6, 10**6), st.integers(-(10**30), 10**30)),
@@ -99,15 +118,15 @@ class TestParseBfile:
     )
     @settings(max_examples=60, deadline=None)
     def test_render_parse_roundtrip(self, pairs):
-        entries = [BFileEntry(i, v) for i, v in sorted(pairs)]
-        assert parse_bfile("".join(f"{i} {v}\n" for i, v in entries)) == entries
+        entries = sorted(pairs)
+        assert list(parse_bfile("".join(f"{i} {v}\n" for i, v in entries)).items()) == entries
 
     def test_shipped_fixtures_parse(self):
         nums = parse_bfile(Path(NUMERATORS).read_text())
         dens = parse_bfile(Path(DENOMINATORS).read_text())
-        assert [e.index for e in nums] == list(range(31))
-        assert [e.index for e in dens] == list(range(31))
-        assert nums[12].value == -691 and dens[12].value == 2730
+        assert list(nums) == list(range(31))
+        assert list(dens) == list(range(31))
+        assert nums[12] == -691 and dens[12] == 2730
 
 
 class TestOeisCheck:
@@ -120,7 +139,7 @@ class TestOeisCheck:
 
     def test_single_tampered_value_is_flagged(self):
         nums, dens = good_entries(8)
-        nums[4] = BFileEntry(4, nums[4].value + 1)
+        nums[4] += 1
         rows = oeis_check(nums, dens, 8)
         assert [r.n for r in rows if not r.ok] == [4]
         assert rows[4].file_value != rows[4].recurrence
@@ -849,6 +868,22 @@ class TestOeisCheckCommand:
         )
         assert code == 2 and "error" in err
 
+    def test_value_past_the_digit_limit_exits_two(self, capsys, tmp_path, set_str_digit_limit):
+        # the entry lies past --max, but the whole file is parsed
+        set_str_digit_limit(4300)
+        bad = tmp_path / "nums.txt"
+        bad.write_text(Path(NUMERATORS).read_text() + "3000 " + "7" * 4400 + "\n")
+        code, out, err = run_capture(
+            capsys, "oeis-check", "--numerators", str(bad),
+            "--denominators", DENOMINATORS, "--max", "1",
+        )
+        assert (code, out) == (2, "")
+        assert len(err.encode()) < 300
+        assert err == (
+            f"error: line 34: a number in '3000 {'7' * 35}'... has 4400 digits, "
+            "over the interpreter's int-str limit of 4300\n"
+        )
+
     def test_malformed_file_reports_its_line(self, capsys, tmp_path):
         bad = tmp_path / "nums.txt"
         bad.write_text("0 1\n1 one half\n")
@@ -1141,6 +1176,32 @@ class TestInterpreterDigitLimit:
         assert (code, out) == (2, "")
         assert len(err.encode()) < 300
         assert f"argument --at: {message}" in err
+
+
+class TestAtGrammar:
+    """`--at` reads Fraction's grammar of Python 3.12 on every interpreter:
+    underscores between digits, spaces around the slash."""
+
+    @pytest.mark.parametrize("at,value", [
+        ("1_0", Fraction(10)), ("1_0/3", Fraction(10, 3)), ("1 / 2", Fraction(1, 2)),
+        ("1_0.5", Fraction(21, 2)), ("1e1_0", Fraction(10**10)), (" -7/3", Fraction(-7, 3)),
+        ("+.5E-1 ", Fraction(1, 20)), ("007", Fraction(7)),
+    ])
+    def test_accepted(self, at, value):
+        assert cli._fraction(at) == value
+
+    @pytest.mark.parametrize("at", [
+        "1__0", "_1", "1_", "3/-4", "0x10", "inf", "1/0", "1 2", "1/2.5", "1e", ".", "",
+    ])
+    def test_refused(self, at):
+        with pytest.raises(argparse.ArgumentTypeError, match=r"is not a rational number$"):
+            cli._fraction(at)
+
+    def test_spaced_value_prints_like_the_plain_one(self, capsys):
+        plain = run_capture(capsys, "polylog", "3", "--at", "1/2")
+        assert plain[0] == 0
+        assert run_capture(capsys, "polylog", "3", "--at", " 1 / 2 ") == plain
+        assert run_capture(capsys, "polylog", "3", "--at", "0_1/0_2") == plain
 
 
 class TestSharedParser:

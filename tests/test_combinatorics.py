@@ -2,6 +2,7 @@
 
 import pytest
 
+from bernlab import combinatorics
 from bernlab.combinatorics import (
     BRUTE_FORCE_MAX_N,
     StirlingTriangle,
@@ -48,7 +49,8 @@ class TestStirling2:
             assert fresh.row(n) == stirling2_row(n)
 
     def test_triangle_grows_monotonically(self):
-        tri = StirlingTriangle(max_n=4)
+        tri = StirlingTriangle()
+        tri.extend_to(4)
         assert tri.max_n == 4
         tri.extend_to(2)
         assert tri.max_n == 4  # never shrinks
@@ -79,6 +81,19 @@ class TestBruteForce:
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             stirling2_bruteforce(-1, 0)
+
+    def test_enumeration_reads_no_stirling_number(self, monkeypatch):
+        # the oracle must count partitions, not replay the triangle
+        row = stirling2_row(9)
+
+        def refuse(*args):
+            raise AssertionError("the enumeration must not read a Stirling number")
+
+        monkeypatch.setattr(combinatorics, "stirling2", refuse)
+        monkeypatch.setattr(combinatorics, "stirling2_row", refuse)
+        monkeypatch.setattr(StirlingTriangle, "extend_to", refuse)
+        combinatorics._block_counts.cache_clear()
+        assert list(combinatorics._block_counts(9)) == row
 
 
 class TestBell:

@@ -10,6 +10,7 @@ division by t, synthetic division by 1 + t) lives here, on plain
 integer coefficient lists.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 from math import comb, factorial
@@ -309,8 +310,14 @@ class TestVerifyIntegral:
         assert report.estimate == pytest.approx(1 / 6, abs=1e-12)
         assert report.abs_error <= 1e-12
 
+    def test_stored_fields(self):
+        # the errors are derived from estimate and expected, not stored
+        names = [f.name for f in dataclasses.fields(QuadratureReport)]
+        assert names == ["m", "n", "estimate", "expected", "panels", "nodes"]
+
     def test_rel_error_definition(self):
         for report in (verify_integral(2, 1), verify_integral(0, 0), verify_integral(3, 3)):
+            assert report.abs_error == abs(report.estimate - float(report.expected))
             assert report.rel_error == report.abs_error / max(
                 1.0, abs(float(report.expected))
             )
