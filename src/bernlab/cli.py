@@ -66,13 +66,13 @@ __all__ = [
 ]
 
 # Largest size argument a subcommand accepts (bernoulli n, stirling n,
-# table --max, polylog n, identity m + n).  At the
-# limit the slowest request is `polylog 1000`, about 1.1-1.35 s as a
-# fresh process (growing the Stirling triangle takes 0.4 s,
-# polylog_neg_rf(1000) 0.4 s, and the rest is rendering and import;
-# `--at 7/3` adds a 3-6 ms evaluation); `identity 500 500` takes
-# about 1.1-1.3 s, `table bernoulli --max 1000` (a cold Bernoulli table
-# to 1000) 0.3-0.4 s, every other Bernoulli route under 1 s, and the
+# table --max, polylog n, identity m + n).  At the limit the slowest
+# request is `polylog 1000`, about 1.0-1.3 s as a fresh process (Python
+# 3.11, 2 vCPUs; growing the Stirling triangle takes 0.3 s,
+# polylog_neg_rf(1000) 0.3 s, rendering 0.1 s, and the rest is start-up;
+# `--at 7/3` adds a 3-6 ms evaluation); `identity 500 500` takes about
+# 0.45-0.65 s, `table bernoulli --max 1000` (a cold Bernoulli table to
+# 1000) 0.25-0.35 s, every other Bernoulli route under 0.7 s, and the
 # Stirling triangle holds about 200 MB.
 MAX_SIZE = 1000
 # Largest exact value `polylog n --at t` computes, measured as (n + 1)
@@ -145,9 +145,8 @@ def parse_bfile(text: str) -> dict[int, int]:
         try:
             index, value = int(parts[0]), int(parts[1])
         except ValueError:
-            digits = max(map(len, re.findall(r"\d+", line.replace("_", ""))), default=0)
             error = functools.partial(BFileParseError, lineno)
-            _check_str_digits(f"a number in {_shown(raw)}", digits, error)
+            _check_str_digits(f"a number in {_shown(raw)}", _longest_digit_run(line), error)
             raise BFileParseError(lineno, f"non-integer token in {_shown(raw)}") from None
         if last is not None and index <= last:
             raise BFileParseError(
@@ -183,6 +182,8 @@ def oeis_check(
             raise ValueError(f"numerator file does not cover index {n}")
         if n not in denominators:
             raise ValueError(f"denominator file does not cover index {n}")
+        if denominators[n] == 0:
+            raise ValueError(f"denominator file has 0 at index {n}")
         file_value = Fraction(numerators[n], denominators[n])
         rec = bernoulli_recurrence(n)
         spl = bernoulli_split(n // 2, n - n // 2)
@@ -401,6 +402,11 @@ def _decimal_digits(x: int) -> int:
     return digits - 1 if digits > 1 and x < 10 ** (digits - 1) else digits
 
 
+def _longest_digit_run(text: str) -> int:
+    """Length of the longest run of digits in text, ignoring '_' as int() does."""
+    return max(map(len, re.findall(r"\d+", text.replace("_", ""))), default=0)
+
+
 def _check_str_digits(what: str, digits: int, error: Callable[[str], Exception] = ValueError) -> None:
     """Refuse an int past the interpreter's int-str limit; 0 means none, as before 3.10.7."""
     limit = getattr(sys, "get_int_max_str_digits", int)()
@@ -499,7 +505,9 @@ def _any_int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        shown = _shown(text)
+        _check_str_digits(shown, _longest_digit_run(text), argparse.ArgumentTypeError)
+        raise argparse.ArgumentTypeError(f"{shown} is not an integer") from None
 
 
 def _positive_int(text: str) -> int:

@@ -11,8 +11,8 @@ u under that substitution, so composite Gauss-Legendre reaches machine
 precision almost immediately; the quadrature never needs either
 endpoint.  The identity and Beta checks integrate directly in u: the
 identity integrand times dt is L_n(u, 1-u) * L_m(1-u, u) du (see
-integrand), and each form is evaluated once per order and rule at the
-rule's nodes and cached, so a check is a dot product of two cached
+_form_at_nodes), and each form is evaluated once per order and rule at
+the rule's nodes and cached, so a check is a dot product of two cached
 vectors with the weights.
 """
 
@@ -23,7 +23,6 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
 
 from .bernoulli import bernoulli_recurrence
 from .exact_arith import beta_integer
@@ -34,8 +33,6 @@ __all__ = [
     "MAX_BETA_SUM",
     "QuadratureReport",
     "gauss_legendre",
-    "integrate_halfline",
-    "integrand",
     "expected_integral_value",
     "verify_integral",
     "beta_quadrature_check",
@@ -44,7 +41,7 @@ __all__ = [
 DEFAULT_PANELS = 16
 DEFAULT_NODES = 32
 
-# Precision scope caps.  The float integrand is built from the polylog
+# Precision scope caps.  The float forms are built from the polylog
 # numerators, whose coefficients alternate in sign and grow fast with the
 # order, so beyond m+n = 12 an unbalanced pair loses enough to
 # cancellation (rel error 5e-4 at (0, 30)) that the desk-scale
@@ -138,40 +135,6 @@ def _panel_rule(panels: int, nodes: int) -> tuple[array, array]:
     return us, array("d", [half * w for w in ws]) * panels
 
 
-def integrate_halfline(
-    f: Callable[[float], float], panels: int = DEFAULT_PANELS, nodes: int = DEFAULT_NODES
-) -> float:
-    """Composite Gauss-Legendre estimate of integral_0^inf f(t) dt.
-
-    The substitution u = t/(1+t) compresses the half line onto (0, 1),
-    which is then split into equal panels.  Gauss nodes are interior, so
-    f is never called at t = 0 or asked for a limit at infinity.
-    """
-    us, ws = _panel_rule(panels, nodes)
-    total = 0.0
-    for u, w in zip(us, ws):
-        om = 1.0 - u
-        total += w * f(u / om) / (om * om)
-    return total
-
-
-# Largest polylog order whose numerator coefficients all fit a double: the
-# largest coefficient of order 172 exceeds 2^1024.
-_MAX_FLOAT_ORDER = 171
-
-
-@lru_cache(maxsize=None)
-def _numerator_floats(n: int) -> tuple[float, ...]:
-    """a_1..a_(n+1) as floats, where Li_{-n}(-t) = sum_i a_i t^i / (1+t)^(n+1)."""
-    if n > _MAX_FLOAT_ORDER:
-        raise ValueError(
-            f"integrand orders are limited to {_MAX_FLOAT_ORDER}, the largest whose "
-            f"numerator coefficients fit a double, got {n}"
-        )
-    coeffs = polylog_neg_rf(n).numerator.coeffs[1:]
-    return tuple(map(float, coeffs)) + (0.0,) * (n + 1 - len(coeffs))
-
-
 def _form(coeffs: tuple[float, ...], x: float, y: float) -> float:
     """sum_j c_j x^j y^(d-j) with d = len(coeffs) - 1, for x, y > 0."""
     if x > y:
@@ -182,34 +145,24 @@ def _form(coeffs: tuple[float, ...], x: float, y: float) -> float:
     return acc * y ** (len(coeffs) - 1)
 
 
-def integrand(m: int, n: int, t: float) -> float:
-    """Value of Li_{-m}(-1/t) * Li_{-n}(-t) / t at a point t > 0.
-
-    With u = t/(1+t) and v = 1/(1+t), each term a_i t^i / (1+t)^(n+1)
-    of Li_{-n}(-t) is a_i u^i v^(n+1-i), so Li_{-n}(-t) = u * L_n(u, v)
-    for the form L_n(u, v) = sum_{i>=1} a_i u^(i-1) v^(n+1-i) of degree
-    n.  Replacing t by 1/t swaps u and v, so Li_{-m}(-1/t) = v * L_m(v, u),
-    and since u*v/t = v^2 the integrand is L_n(u, v) * L_m(v, u) * v^2.
-    Each form runs Horner in whichever of u/v = t and v/u = 1/t is at
-    most 1 and is then scaled by v^n or u^n (both at most 1), so no
-    intermediate overflows for any finite t > 0 -- unlike powers of t
-    itself, which reach inf, or inf/inf = nan, at large t.  Orders above
-    171 raise ValueError, since their coefficients do not fit a double.
-    """
-    if m < 0 or n < 0:
-        raise ValueError(f"orders must be non-negative, got ({m}, {n})")
-    if t <= 0:
-        raise ValueError(f"integrand is defined on t > 0, got t = {t}")
-    u, v = t / (1.0 + t), 1.0 / (1.0 + t)
-    return _form(_numerator_floats(n), u, v) * _form(_numerator_floats(m), v, u) * v * v
-
-
 # Bounded to one workload's working set: every order verify_integral
 # accepts, on three rules.  A vector of the largest rule holds 2 MB.
 @lru_cache(maxsize=3 * (MAX_IDENTITY_SUM + 1))
 def _form_at_nodes(n: int, panels: int, nodes: int) -> array:
-    """L_n(u_j, 1 - u_j) at every node u_j of _panel_rule(panels, nodes)."""
-    coeffs = _numerator_floats(n)
+    """L_n(u_j, 1 - u_j) at every node u_j of _panel_rule(panels, nodes).
+
+    Write Li_{-n}(-t) = sum_{i>=1} a_i t^i / (1+t)^(n+1).  With u = t/(1+t)
+    and v = 1 - u = 1/(1+t), each term is a_i u^i v^(n+1-i), so
+    Li_{-n}(-t) = u * L_n(u, v) for the form L_n(u, v) =
+    sum_{i>=1} a_i u^(i-1) v^(n+1-i) of degree n.  Replacing t by 1/t
+    swaps u and v, so Li_{-m}(-1/t) = v * L_m(v, u), and since
+    u*v/t = v^2 the identity integrand is L_n(u, v) * L_m(v, u) * v^2.
+    That v^2 cancels against dt = du/(1-u)^2 = du/v^2.  _form runs Horner
+    in whichever of u/v and v/u is at most 1 and scales by a power of the
+    larger, so no intermediate overflows at any node.
+    """
+    coeffs = polylog_neg_rf(n).numerator.coeffs[1:]
+    coeffs = tuple(map(float, coeffs)) + (0.0,) * (n + 1 - len(coeffs))
     us, _ = _panel_rule(panels, nodes)
     return array("d", (_form(coeffs, u, 1.0 - u) for u in us))
 
@@ -243,8 +196,8 @@ def verify_integral(
         raise ValueError(
             f"verify_integral is scoped to m + n <= {MAX_IDENTITY_SUM}, got {m + n}"
         )
-    # integrand(m, n, t) dt = L_n(u, 1-u) * L_m(1-u, u) du, and L_m(1-u_j, u_j)
-    # is L_m at the mirrored node u_(N-1-j) = 1 - u_j.
+    # The integrand times dt is L_n(u, 1-u) * L_m(1-u, u) du, and
+    # L_m(1-u_j, u_j) is L_m at the mirrored node u_(N-1-j) = 1 - u_j.
     _, ws = _panel_rule(panels, nodes)
     right, left = _form_at_nodes(n, panels, nodes), _form_at_nodes(m, panels, nodes)
     estimate = math.fsum(w * a * b for w, a, b in zip(ws, right, reversed(left)))

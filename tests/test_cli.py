@@ -158,6 +158,12 @@ class TestOeisCheck:
         with pytest.raises(ValueError):
             oeis_check(*good_entries(3), -1)
 
+    def test_zero_denominator_is_a_data_error(self):
+        nums, dens = good_entries(8)
+        dens[5] = 0
+        with pytest.raises(ValueError, match="^denominator file has 0 at index 5$"):
+            oeis_check(nums, dens, 8)
+
 
 class TestBenchRun:
     def test_row_shape(self):
@@ -884,6 +890,18 @@ class TestOeisCheckCommand:
             "over the interpreter's int-str limit of 4300\n"
         )
 
+    def test_zero_denominator_exits_two(self, capsys, tmp_path):
+        text = Path(DENOMINATORS).read_text()
+        assert "\n7 1\n" in text
+        bad = tmp_path / "dens.txt"
+        bad.write_text(text.replace("\n7 1\n", "\n7 0\n"))
+        code, out, err = run_capture(
+            capsys, "oeis-check", "--numerators", NUMERATORS,
+            "--denominators", str(bad), "--max", "10",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: denominator file has 0 at index 7\n"
+
     def test_malformed_file_reports_its_line(self, capsys, tmp_path):
         bad = tmp_path / "nums.txt"
         bad.write_text("0 1\n1 one half\n")
@@ -997,7 +1015,7 @@ class TestCostGuards:
             "stirling2", "stirling2_row", "polylog_neg_rf", "rf_eval_exact", "parse_bfile",
         ):
             monkeypatch.setattr(cli, name, refuse)
-        for name in ("gauss_legendre", "integrate_halfline", "_panel_rule", "_form_at_nodes"):
+        for name in ("gauss_legendre", "_panel_rule", "_form_at_nodes"):
             monkeypatch.setattr(quadrature, name, refuse)
 
     @pytest.mark.parametrize("argv", [
@@ -1149,6 +1167,22 @@ class TestInterpreterDigitLimit:
             f"argument --at: a number in '1/{'7' * 38}'... has 4400 digits, over the "
             "interpreter's int-str limit of 4300\n"
         )
+
+    @pytest.mark.parametrize("argv,message", [
+        (["stirling", "5", "7" * 4400], f"argument k: '{'7' * 40}'... has 4400 digits, over the "
+         "interpreter's int-str limit of 4300"),
+        (["bernoulli", "x" * 5000], f"argument n: '{'x' * 40}'... is not an integer"),
+        (["stirling", "5", "7_" * 4400 + "7"], f"argument k: '{'7_' * 20}'... has 4401 digits, "
+         "over the interpreter's int-str limit of 4300"),
+    ], ids=["4400-digit-k", "5000-char-n", "underscored-k"])
+    def test_over_long_integer_argument_echoes_a_short_prefix(
+        self, capsys, set_str_digit_limit, argv, message
+    ):
+        set_str_digit_limit(4300)
+        code, out, err = run_capture(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert len(err.encode()) < 300
+        assert err.endswith(f"error: {message}\n")
 
     def test_digit_run_at_the_limit_parses(self, set_str_digit_limit):
         set_str_digit_limit(4300)

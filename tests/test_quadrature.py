@@ -38,8 +38,6 @@ from bernlab.quadrature import (
     beta_quadrature_check,
     expected_integral_value,
     gauss_legendre,
-    integrand,
-    integrate_halfline,
     verify_integral,
 )
 
@@ -229,59 +227,51 @@ class TestPanelRule:
 
 
 class TestIntegrateHalfline:
-    def test_examples(self):
-        assert integrate_halfline(lambda t: (1 + t) ** -2) == pytest.approx(1.0, abs=1e-12)
-        assert integrate_halfline(lambda t: (1 + t) ** -3) == pytest.approx(0.5, abs=1e-12)
-        assert integrate_halfline(lambda t: t * (1 + t) ** -4, panels=8) == pytest.approx(
-            1 / 6, abs=1e-10
-        )
+    """Half-line integrals with closed forms, through the public checks."""
 
-    def test_exponential_decay(self):
-        assert integrate_halfline(lambda t: math.exp(-t)) == pytest.approx(1.0, abs=1e-9)
+    def test_examples(self):
+        # integral_0^inf t^k / (1+t)^(k+l+2) dt: 1/(1+t)^2, 1/(1+t)^3, t/(1+t)^4
+        assert beta_quadrature_check(0, 0).estimate == pytest.approx(1.0, abs=1e-12)
+        assert beta_quadrature_check(0, 1).estimate == pytest.approx(0.5, abs=1e-12)
+        assert beta_quadrature_check(1, 1, panels=8).estimate == pytest.approx(1 / 6, abs=1e-10)
 
     def test_bad_panel_count_rejected(self):
         with pytest.raises(ValueError, match="at least one panel"):
-            integrate_halfline(lambda t: 0.0, panels=0)
+            verify_integral(1, 1, panels=0)
+        with pytest.raises(ValueError, match="at least one panel"):
+            beta_quadrature_check(1, 1, panels=0)
 
 
 class TestIntegrand:
+    """The identity integrand's float factors: the forms L_n(u, 1-u) at a
+    rule's nodes, where Li_{-n}(-t) = u * L_n(u, 1-u) for u = t/(1+t)."""
+
     def test_point_values(self):
-        assert integrand(0, 0, 1.0) == pytest.approx(0.25, abs=1e-15)
-        assert integrand(0, 1, 1.0) == pytest.approx(0.125, abs=1e-15)
-        assert integrand(1, 1, 2.0) == pytest.approx(2 / 81, abs=1e-15)
+        # Li_0(-t) = -u, Li_{-1}(-t) = -u(1-u), Li_{-2}(-t) = u(1-u)(2u-1)
+        us, _ = _panel_rule(8, 16)
+        assert list(_form_at_nodes(0, 8, 16)) == [-1.0] * len(us)
+        for u, l1, l2 in zip(us, _form_at_nodes(1, 8, 16), _form_at_nodes(2, 8, 16)):
+            assert l1 == pytest.approx(u - 1.0, abs=1e-15), u
+            assert l2 == pytest.approx((1.0 - u) * (2.0 * u - 1.0), abs=1e-15), u
 
     def test_matches_the_exact_rational_function(self):
-        # The extreme points are where powers of t overflow: the value
-        # must still come out finite (at 1e300 it underflows to 0).
-        for m, n in IN_SCOPE:
-            rf = identity_integrand_rf(m, n)
-            for t in (1e-300, 1e-30, 1e-3, 0.1, 0.7, 1.0, 3.3, 50.0, 1e4, 1e30, 1e300):
-                value = integrand(m, n, t)
-                assert math.isfinite(value), (m, n, t, value)
-                assert value == pytest.approx(float(rf_eval_exact(rf, Fraction(t))), rel=1e-13), (m, n, t)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            integrand(1, 1, 0.0)
-        with pytest.raises(ValueError):
-            integrand(1, 1, -2.0)
-        with pytest.raises(ValueError):
-            integrand(-1, 1, 1.0)
-
-    def test_order_171_is_finite(self):
-        for t in (1e-3, 1.0, 7.0):
-            assert math.isfinite(integrand(0, 171, t)), t
-            assert math.isfinite(integrand(171, 0, t)), t
-
-    @pytest.mark.parametrize("m, n", [(0, 172), (172, 0), (172, 500)])
-    def test_order_past_171_names_the_limit(self, m, n):
-        with pytest.raises(ValueError, match="limited to 171"):
-            integrand(m, n, 1.0)
-
-    def test_order_limit_is_where_coefficients_leave_double_range(self):
-        float(max(map(abs, polylog_neg_rf(171).numerator.coeffs)))
-        with pytest.raises(OverflowError):
-            float(max(map(abs, polylog_neg_rf(172).numerator.coeffs)))
+        # Each node value against L_n(u, 1-u) = Li_{-n}(-t) / u at the
+        # exact node.  The bound scales with sum_i |a_i| u^(i-1) v^(n+1-i)
+        # rather than |L_n|: near a zero of the form the relative error
+        # reaches 7.5e-12, while the absolute one stays under 1.7 eps of
+        # that sum.
+        eps = math.ulp(1.0)
+        for panels, nodes in BENCHMARK_RULES:
+            us, _ = _panel_rule(panels, nodes)
+            for n in range(MAX_IDENTITY_SUM + 1):
+                f = polylog_neg_rf(n)
+                a = [abs(float(c)) for c in f.numerator.coeffs[1:]]
+                for u, value in zip(us, _form_at_nodes(n, panels, nodes)):
+                    exact_u = Fraction(u)
+                    exact = rf_eval_exact(f, exact_u / (1 - exact_u)) / exact_u
+                    scale = sum(c * u**i * (1.0 - u) ** (n - i) for i, c in enumerate(a))
+                    error = abs(Fraction(value) - exact)
+                    assert error <= 4 * eps * scale, (n, panels, nodes, u, value)
 
 
 class TestExpectedIntegralValue:
@@ -342,15 +332,14 @@ class TestVerifyIntegral:
 
     @pytest.mark.parametrize("panels,nodes", BENCHMARK_RULES)
     def test_matches_the_halfline_route(self, panels, nodes):
-        # verify_integral integrates in u from cached form values at
-        # mirrored nodes; integrate_halfline calls integrand in t.  Each
-        # carries rounding amplified by the forms' cancellation (sum of
-        # w|f| is about 244 at m+n = 12), up to 1.8e-13 from the exact
-        # value at (12, 0) on 4 x 32 for the t route.
+        # verify_integral integrates in u from cached float forms; the
+        # test-local oracle integrates the same integrand in t, exactly
+        # and without reading a Bernoulli number.
         for m, n in IN_SCOPE:
-            estimate = verify_integral(m, n, panels, nodes).estimate
-            reference = integrate_halfline(lambda t: integrand(m, n, t), panels, nodes)
-            assert estimate == pytest.approx(reference, abs=2e-13), (m, n)
+            exact = exact_halfline_integral(identity_integrand_rf(m, n))
+            report = verify_integral(m, n, panels, nodes)
+            assert report.expected == exact, (m, n)
+            assert abs(report.estimate - exact) <= 1e-12 * max(1, abs(exact)), (m, n)
 
     def test_symmetric_orders_agree(self):
         for m, n in ((0, 3), (1, 4), (2, 5)):
