@@ -18,13 +18,15 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import hashlib
 import json
 import math
 import re
 import statistics
 import sys
 import time
+# hashlib.blake2b is this object; importing hashlib also loads OpenSSL's
+# libcrypto, which adds about 3.5 MB to every process's peak RSS.
+from _blake2 import blake2b
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -103,7 +105,7 @@ MAX_BENCH_SUM = 60
 # node at order 12, so the largest rule, 1024 panels of 256 nodes, takes
 # at most about 0.9 s as a fresh process (verify-integral 0 12; 0.5 s
 # when m = n, whose one form serves both factors, and 0.35 s for
-# beta-check) and peaks at about 30 MB.
+# beta-check) and peaks at about 25 MB.
 MAX_PANELS = 1024
 MAX_NODES = 256
 
@@ -172,11 +174,11 @@ def oeis_check(
     """Compare numerator/denominator b-file pairs against B_n computed by
     the recurrence and by the balanced split sum, for every 0 <= n <= max_n.
 
-    Both files must cover the whole index range; a gap is a data error.
+    Both files must cover the whole index range with nonzero denominators;
+    a gap or a zero is a data error, raised before any value is computed.
     """
     if max_n < 0:
         raise ValueError(f"max_n must be non-negative, got {max_n}")
-    rows: list[OeisRow] = []
     for n in range(max_n + 1):
         if n not in numerators:
             raise ValueError(f"numerator file does not cover index {n}")
@@ -184,6 +186,8 @@ def oeis_check(
             raise ValueError(f"denominator file does not cover index {n}")
         if denominators[n] == 0:
             raise ValueError(f"denominator file has 0 at index {n}")
+    rows: list[OeisRow] = []
+    for n in range(max_n + 1):
         file_value = Fraction(numerators[n], denominators[n])
         rec = bernoulli_recurrence(n)
         spl = bernoulli_split(n // 2, n - n // 2)
@@ -209,7 +213,7 @@ class BenchRow:
 
 
 def _rational_hash(q: Fraction) -> str:
-    return hashlib.blake2b(f"{q.numerator}/{q.denominator}".encode(), digest_size=8).hexdigest()
+    return blake2b(f"{q.numerator}/{q.denominator}".encode(), digest_size=8).hexdigest()
 
 
 def _median_time(fn: Callable[[], Fraction], repeats: int) -> tuple[Fraction, float]:

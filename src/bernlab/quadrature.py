@@ -1,9 +1,9 @@
 """Floating-point verification of the half-line integral identity
 
-    integral_0^inf Li_{-m}(-1/t) * Li_{-n}(-t) / t dt  =  B_(m+n)
+    integral_0^inf Li_{-m}(-1/t) * Li_{-n}(-t) / t dt  =  (-1)^(m+n) B_(m+n)
 
-(for m+n >= 2; see expected_integral_value for the two small edge
-orders) and of the termwise Beta integrals behind it.
+(B_(m+n) under the B_1 = +1/2 convention; see expected_integral_value)
+and of the termwise Beta integrals behind it.
 
 Strategy: substitute u = t/(1+t), which maps (0, inf) onto (0, 1) with
 dt = du/(1-u)^2.  Every integrand assembled here becomes a polynomial in
@@ -170,20 +170,13 @@ def _form_at_nodes(n: int, panels: int, nodes: int) -> array:
 def expected_integral_value(m: int, n: int) -> Fraction:
     """Exact value of the half-line integral for orders (m, n).
 
-    B_(m+n) for m+n >= 2.  The two low orders come from the closed-form
-    integrands instead: (0,0) integrates 1/(1+t)^2 to exactly 1, and
-    m+n = 1 integrates 1/(1+t)^3 (or its mirror) to exactly 1/2 -- note
-    +1/2 is -zeta(0), NOT B_1; order sum 1 is where the integral and the
-    split sum part ways.
+    (-1)^(m+n) B_(m+n), the Bernoulli number under the B_1 = +1/2
+    convention: B_(m+n) for m+n >= 2, and +1/2, not B_1, at m+n = 1,
+    where the integral and the split sum part ways.
     """
     if m < 0 or n < 0:
         raise ValueError(f"orders must be non-negative, got ({m}, {n})")
-    s = m + n
-    if s == 0:
-        return Fraction(1)
-    if s == 1:
-        return Fraction(1, 2)
-    return bernoulli_recurrence(s)
+    return (-1) ** (m + n) * bernoulli_recurrence(m + n)
 
 
 def verify_integral(

@@ -8,6 +8,7 @@ errors.
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import os
@@ -50,6 +51,17 @@ def good_entries(max_n):
     nums = {n: bernoulli_recurrence(n).numerator for n in range(max_n + 1)}
     dens = {n: bernoulli_recurrence(n).denominator for n in range(max_n + 1)}
     return nums, dens
+
+
+@pytest.fixture
+def no_bernoulli_values(monkeypatch):
+    """Fail the test if the CLI computes a Bernoulli number."""
+
+    def refuse(*args):
+        raise AssertionError("a Bernoulli value was computed")
+
+    for name in ("bernoulli_recurrence", "bernoulli_split"):
+        monkeypatch.setattr(cli, name, refuse)
 
 
 class TestParseBfile:
@@ -144,7 +156,7 @@ class TestOeisCheck:
         assert [r.n for r in rows if not r.ok] == [4]
         assert rows[4].file_value != rows[4].recurrence
 
-    def test_missing_index_is_a_data_error(self):
+    def test_missing_index_is_a_data_error(self, no_bernoulli_values):
         nums, dens = good_entries(8)
         del nums[3]
         with pytest.raises(ValueError, match="does not cover index 3"):
@@ -154,14 +166,25 @@ class TestOeisCheck:
         with pytest.raises(ValueError, match="denominator file does not cover index 9"):
             oeis_check(nums, dens, 9)
 
-    def test_negative_max_rejected(self):
+    def test_negative_max_rejected(self, no_bernoulli_values):
         with pytest.raises(ValueError):
             oeis_check(*good_entries(3), -1)
 
-    def test_zero_denominator_is_a_data_error(self):
+    def test_zero_denominator_is_a_data_error(self, no_bernoulli_values):
         nums, dens = good_entries(8)
         dens[5] = 0
         with pytest.raises(ValueError, match="^denominator file has 0 at index 5$"):
+            oeis_check(nums, dens, 8)
+
+    def test_each_index_is_checked_in_order_before_the_next(self, no_bernoulli_values):
+        nums, dens = good_entries(8)
+        dens[2] = 0
+        del dens[6]
+        with pytest.raises(ValueError, match="^denominator file has 0 at index 2$"):
+            oeis_check(nums, dens, 8)
+        dens[2] = 1
+        del nums[6]
+        with pytest.raises(ValueError, match="^numerator file does not cover index 6$"):
             oeis_check(nums, dens, 8)
 
 
@@ -209,6 +232,42 @@ class TestBenchRun:
             bench_run(MAX_BENCH_SUM + 1)
         with pytest.raises(ValueError):
             bench_run(3, repeats=0)
+
+
+class TestStandardLibraryOnly:
+    def test_bench_hashes_are_hashlib_blake2b(self):
+        assert cli.blake2b is hashlib.blake2b
+        for row in bench_run(3, repeats=1):
+            q = bernoulli_recurrence(row.n)
+            digest = hashlib.blake2b(f"{q.numerator}/{q.denominator}".encode(), digest_size=8)
+            assert row.result_hash == digest.hexdigest(), row
+
+    def test_no_subcommand_loads_openssl_or_a_third_party_module(self):
+        # A fresh process, since the test process has imported hashlib.
+        # Modules the interpreter loaded at start-up (site hooks) are not
+        # bernlab's, so only those loaded after it are checked.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = """
+import contextlib, io, sys
+before = set(sys.modules)
+from bernlab.cli import run
+argvs = [
+    ["bench", "--max-sum", "2"], ["bernoulli", "10"], ["stirling", "5", "2"],
+    ["table", "bernoulli", "--max", "5", "--format", "csv"], ["identity", "3", "5"],
+    ["polylog", "3", "--at", "1/2", "--format", "json"], ["verify-integral", "1", "1"],
+    ["beta-check", "2", "3"],
+    ["oeis-check", "--numerators", sys.argv[1], "--denominators", sys.argv[2], "--max", "5"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [run(argv) for argv in argvs]
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(codes, "_hashlib" in sys.modules, sorted(loaded - {"bernlab"} - sys.stdlib_module_names))
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", code, NUMERATORS, DENOMINATORS],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{[0] * 9} False []\n", "")
 
 
 def run_capture(capsys, *argv):
@@ -860,12 +919,13 @@ class TestOeisCheckCommand:
         assert "n=30 FAIL" in out
         assert "30/31 PASS" in out
 
-    def test_undercovered_range_is_a_data_error(self, capsys):
-        code, _, err = run_capture(
-            capsys, "oeis-check", "--numerators", NUMERATORS,
-            "--denominators", DENOMINATORS, "--max", "40",
-        )
-        assert code == 2 and "does not cover" in err
+    def test_undercovered_range_is_a_data_error(self, capsys, no_bernoulli_values):
+        for max_n in ("31", "40"):
+            code, out, err = run_capture(
+                capsys, "oeis-check", "--numerators", NUMERATORS,
+                "--denominators", DENOMINATORS, "--max", max_n,
+            )
+            assert (code, out, err) == (2, "", "error: numerator file does not cover index 31\n")
 
     def test_missing_file_is_a_data_error(self, capsys):
         code, _, err = run_capture(
@@ -890,7 +950,7 @@ class TestOeisCheckCommand:
             "over the interpreter's int-str limit of 4300\n"
         )
 
-    def test_zero_denominator_exits_two(self, capsys, tmp_path):
+    def test_zero_denominator_exits_two(self, capsys, tmp_path, no_bernoulli_values):
         text = Path(DENOMINATORS).read_text()
         assert "\n7 1\n" in text
         bad = tmp_path / "dens.txt"

@@ -284,6 +284,8 @@ class TestExpectedIntegralValue:
         assert expected_integral_value(1, 1) == Fraction(1, 6)
         assert expected_integral_value(2, 1) == 0
         assert expected_integral_value(6, 6) == bernoulli_recurrence(12)
+        for s in range(2, 61):
+            assert expected_integral_value(s // 2, s - s // 2) == bernoulli_recurrence(s), s
 
     def test_negative_orders_rejected(self):
         with pytest.raises(ValueError):
