@@ -1,9 +1,10 @@
 """Bernoulli numbers by three exact strategies, plus zeta values at
 non-positive integers.
 
-Convention: the generating function t/(e^t - 1) fixes B_1 = -1/2.  (The
-"+1/2" convention belongs to t/(1 - e^-t) and is not used anywhere in
-this package.)
+Convention: the generating function t/(e^t - 1) fixes B_1 = -1/2.  The
+"+1/2" convention of t/(1 - e^-t), B+_n = (-1)^n B_n, is read in two
+places: zeta_nonpositive (zeta(1 - N) = -B+_N / N) and
+quadrature.expected_integral_value (the half-line integral is B+_(m+n)).
 
 The table, grown from the zigzag numbers of the Seidel triangle, is the
 designated ground truth (the CLI calls this route `recurrence`); the two
@@ -165,13 +166,10 @@ def bernoulli_split(m: int, n: int) -> Fraction:
 def zeta_nonpositive(s: int) -> Fraction:
     """Exact zeta(s) for integer s <= 0.
 
-    zeta(0) = -1/2 is pinned directly; for s <= -1 the value is
-    -B_N / N with N = 1 - s, which lands on 0 at every even negative
-    argument (the trivial zeros).
+    zeta(s) = -B+_N / N with N = 1 - s and B+_N = (-1)^N B_N: -1/2 at
+    s = 0, and 0 at every even negative argument (the trivial zeros).
     """
     if s > 0:
         raise ValueError(f"zeta_nonpositive requires s <= 0, got {s}")
-    if s == 0:
-        return Fraction(-1, 2)
     n = 1 - s
-    return -bernoulli_recurrence(n) / n
+    return -(-1) ** n * bernoulli_recurrence(n) / n

@@ -216,16 +216,6 @@ def _rational_hash(q: Fraction) -> str:
     return blake2b(f"{q.numerator}/{q.denominator}".encode(), digest_size=8).hexdigest()
 
 
-def _median_time(fn: Callable[[], Fraction], repeats: int) -> tuple[Fraction, float]:
-    value = None
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        value = fn()
-        times.append(time.perf_counter() - start)
-    return value, statistics.median(times)
-
-
 def bench_run(
     max_sum: int,
     repeats: int = 5,
@@ -247,30 +237,29 @@ def bench_run(
         raise ValueError(f"max_sum is capped at {MAX_BENCH_SUM}, got {max_sum}")
     if repeats < 1:
         raise ValueError(f"repeats must be positive, got {repeats}")
-    methods = {
-        "recurrence": lambda k: BernoulliTable().value(k),
-        "stirling-sum": bernoulli_stirling_sum,
-    }
     if split_fn is None:
         split_fn = bernoulli_split
     stirling2_row(max_sum)  # warm the shared triangle once, outside the clocks
     rows: list[BenchRow] = []
     for n in range(max_sum + 1):
         reference = bernoulli_recurrence(n)
-        for name, fn in methods.items():
-            value, seconds = _median_time(lambda: fn(n), repeats)
+        # The lambdas look their route up when called, so a replaced
+        # cli.BernoulliTable or cli.bernoulli_stirling_sum is what is timed.
+        cells = [
+            ("recurrence", None, lambda: BernoulliTable().value(n)),
+            ("stirling-sum", None, lambda: bernoulli_stirling_sum(n)),
+            *(("split", m, functools.partial(split_fn, m, n - m)) for m in range(n + 1)),
+        ]
+        for name, m, fn in cells:
+            times = []
+            for _ in range(repeats):
+                start = time.perf_counter()
+                value = fn()
+                times.append(time.perf_counter() - start)
             if value != reference:
-                raise BenchMismatchError(
-                    f"method {name!r} disagrees at n={n}: {value} != {reference}"
-                )
-            rows.append(BenchRow(name, n, None, seconds, _rational_hash(value)))
-        for m in range(n + 1):
-            value, seconds = _median_time(lambda: split_fn(m, n - m), repeats)
-            if value != reference:
-                raise BenchMismatchError(
-                    f"split ({m}, {n - m}) disagrees at n={n}: {value} != {reference}"
-                )
-            rows.append(BenchRow("split", n, m, seconds, _rational_hash(value)))
+                cell = f"method {name!r}" if m is None else f"split ({m}, {n - m})"
+                raise BenchMismatchError(f"{cell} disagrees at n={n}: {value} != {reference}")
+            rows.append(BenchRow(name, n, m, statistics.median(times), _rational_hash(value)))
     return rows
 
 
@@ -425,7 +414,9 @@ def _cmd_polylog(args: argparse.Namespace) -> Output:
         size = (args.n + 1) * max(_decimal_digits(t.numerator), _decimal_digits(t.denominator))
         _check_size("(n + 1) * digits of --at", size, MAX_AT_DIGITS)
     f = polylog_neg_rf(args.n)
-    plain = [f"Li_{{-{args.n}}}(-t) = {f.render('t')}"]
+    num, den = f.numerator.render("t"), f.denominator.render("t")
+    # The denominator (1+t)^(n+1) is never 1, so this is f.render("t").
+    plain = [f"Li_{{-{args.n}}}(-t) = ({num})/({den})"]
     at = value = None
     if args.at is not None:
         at, value = str(args.at), rf_eval_exact(f, args.at)
@@ -435,7 +426,7 @@ def _cmd_polylog(args: argparse.Namespace) -> Output:
     return Output(
         plain,
         ("n", "numerator", "denominator", "at", "value"),
-        [(args.n, f.numerator.render("t"), f.denominator.render("t"), at, value)],
+        [(args.n, num, den, at, value)],
         {
             "n": args.n,
             "numerator": [str(c) for c in f.numerator.coeffs],

@@ -247,7 +247,6 @@ _ORACLE_BASE = (0, RationalFunction(Polynomial([0, 1]), Polynomial([1, -1])))
 _oracle_front = _ORACLE_BASE
 
 
-@lru_cache(maxsize=None)
 def polylog_oracle(n: int) -> RationalFunction:
     """Li_{-n}(x) in the variable x, from the derivative recurrence
 

@@ -271,11 +271,18 @@ class TestZetaNonpositive:
             assert zeta_nonpositive(-2 * k) == 0
 
     def test_zero_is_pinned_not_extrapolated(self):
-        # extending zeta(1-n) = -B_n/n to n = 1 would give +1/2; the
-        # stored value is the correct -1/2 (equal to B_1 only by accident
-        # of sign convention).
+        # extending zeta(1-n) = -B_n/n to n = 1 would give +1/2; -B+_1/1
+        # is the correct -1/2 (equal to B_1 only by accident of sign
+        # convention).
         assert zeta_nonpositive(0) == Fraction(-1, 2)
         assert zeta_nonpositive(0) != -bernoulli_recurrence(1) / 1
+
+    def test_equals_the_two_case_formula_to_max_size(self):
+        # zeta(0) = -1/2 as a special case, -B_N/N with N = 1 - s below it.
+        for s in range(0, -MAX_SIZE, -1):
+            n = 1 - s
+            expected = Fraction(-1, 2) if s == 0 else -bernoulli_recurrence(n) / n
+            assert zeta_nonpositive(s) == expected, s
 
     def test_positive_argument_rejected(self):
         with pytest.raises(ValueError):

@@ -212,18 +212,43 @@ class TestBenchRun:
             ms = [r.split_m for r in rows if r.n == n and r.method == "split"]
             assert ms == list(range(n + 1))
 
+    def test_cell_order(self):
+        # per n: recurrence, then stirling-sum, then split at m = 0..n
+        expected = [
+            cell
+            for n in range(4)
+            for cell in [("recurrence", n, None), ("stirling-sum", n, None)]
+            + [("split", n, m) for m in range(n + 1)]
+        ]
+        assert [(r.method, r.n, r.split_m) for r in bench_run(3, repeats=1)] == expected
+
     def test_whole_methods_have_no_split_index(self):
         rows = bench_run(3, repeats=1)
         assert {r.method for r in rows if r.split_m is None} == {"recurrence", "stirling-sum"}
 
     def test_mismatching_split_aborts(self):
-        with pytest.raises(BenchMismatchError, match="disagrees"):
-            bench_run(2, repeats=1, split_fn=lambda m, k: Fraction(0))
+        def split_fn(m, k):
+            return Fraction(0) if (m, k) == (1, 1) else cli.bernoulli_split(m, k)
+
+        with pytest.raises(BenchMismatchError) as excinfo:
+            bench_run(2, repeats=1, split_fn=split_fn)
+        assert str(excinfo.value) == "split (1, 1) disagrees at n=2: 0 != 1/6"
 
     def test_mismatching_whole_method_aborts(self, monkeypatch):
         monkeypatch.setattr(cli, "bernoulli_stirling_sum", lambda n: Fraction(1, 3))
-        with pytest.raises(BenchMismatchError, match="'stirling-sum' disagrees at n=0"):
+        with pytest.raises(BenchMismatchError) as excinfo:
             bench_run(2, repeats=1)
+        assert str(excinfo.value) == "method 'stirling-sum' disagrees at n=0: 1/3 != 1"
+
+    def test_mismatching_recurrence_aborts(self, monkeypatch):
+        class SevenTable:
+            def value(self, n):
+                return 7
+
+        monkeypatch.setattr(cli, "BernoulliTable", SevenTable)
+        with pytest.raises(BenchMismatchError) as excinfo:
+            bench_run(2, repeats=1)
+        assert str(excinfo.value) == "method 'recurrence' disagrees at n=0: 7 != 1"
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
@@ -761,6 +786,11 @@ class TestOtherValueCommands:
         code, out, _ = run_capture(capsys, "polylog", "2")
         assert code == 0
         assert out == "Li_{-2}(-t) = (-t + t^2)/(1 + 3*t + 3*t^2 + t^3)\n"
+
+    def test_polylog_plain_line_is_the_rendered_function(self, capsys):
+        for n in range(61):
+            code, out, _ = run_capture(capsys, "polylog", str(n))
+            assert (code, out) == (0, f"Li_{{-{n}}}(-t) = {polylog_neg_rf(n).render('t')}\n"), n
 
     def test_polylog_with_evaluation(self, capsys):
         code, out, _ = run_capture(capsys, "polylog", "1", "--at", "1/2")
