@@ -5,12 +5,14 @@ record: the plain-text lines, the CSV header and rows, the JSON object
 and the exit code.  `run` prints it through `_emit`, the only code that
 looks at `--format` (plain, csv or json).  The argument parser is built
 once per process, on the first `run` call, and reused by every later
-one.  Exit-code contract: 0 for success or PASS, 1 for a verification
-FAIL, 2 for usage, parse, or data errors.  Size arguments above
-`MAX_SIZE`, an `oeis-check --max` above `MAX_OEIS_CHECK`, a `polylog
---at` value above `MAX_AT_DIGITS`, a bench sweep above `MAX_BENCH_SUM`
-and quadrature rules above `MAX_PANELS` or `MAX_NODES` are refused with
-exit 2 before any work starts.
+one; a request that starts with a subcommand name is parsed by that
+subcommand's parser alone.  Exit-code contract: 0 for success or PASS,
+1 for a verification FAIL, 2 for usage, parse, or data errors, and 141
+(128 + SIGPIPE) from `main` when stdout is closed early, as by `head`.
+Size arguments above `MAX_SIZE`, an `oeis-check --max` above
+`MAX_OEIS_CHECK`, a `polylog --at` value above `MAX_AT_DIGITS`, a bench
+sweep above `MAX_BENCH_SUM` and quadrature rules above `MAX_PANELS` or
+`MAX_NODES` are refused with exit 2 before any work starts.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import csv
 import functools
 import json
 import math
+import os
 import re
 import statistics
 import sys
@@ -644,20 +647,38 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser every `run` shares, built on the first call.
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser every `run` shares, built on the first call, and its
+    subcommand parsers by name (the choices of its subparsers action).
 
-    Sharing is safe because parsing leaves it unchanged: each call gets a
+    Sharing is safe because parsing leaves them unchanged: each call gets a
     new Namespace, every default is immutable, and the handlers bound by
     `set_defaults` look up the routes they call each time they run.
     """
-    return build_parser()
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return parser, commands.choices
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    """Parse argv and execute; returns the process exit code."""
+    """Parse argv and execute; returns the process exit code.
+
+    When argv starts with a subcommand name, that subcommand's parser gets
+    the rest directly, as the top-level parser would hand it on, and the
+    top-level parser reports any words left over.  Every other argv (none,
+    -h, an unknown name, an option first) goes to the top-level parser.
+    A closed stdout raises BrokenPipeError rather than mapping to a code.
+    """
+    parser, commands = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
     try:
-        args = _parser().parse_args(argv)
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extra = command.parse_known_args(argv[1:])
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:  # argparse already wrote usage/help
         return exc.code if isinstance(exc.code, int) else 2
     try:
@@ -665,10 +686,21 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except BenchMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        raise
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # As the SIGPIPE note in Python's signal docs does: point stdout at
+        # devnull so the flush at exit cannot fail again.  141 = 128 +
+        # SIGPIPE, the status a shell reports for `yes | head -n 1`.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)

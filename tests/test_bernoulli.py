@@ -270,7 +270,7 @@ class TestZetaNonpositive:
         for k in range(1, 16):
             assert zeta_nonpositive(-2 * k) == 0
 
-    def test_zero_is_pinned_not_extrapolated(self):
+    def test_zero_is_minus_b_plus_1_not_extrapolated(self):
         # extending zeta(1-n) = -B_n/n to n = 1 would give +1/2; -B+_1/1
         # is the correct -1/2 (equal to B_1 only by accident of sign
         # convention).

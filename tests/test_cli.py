@@ -206,25 +206,16 @@ class TestBenchRun:
             by_n.setdefault(row.n, set()).add(row.result_hash)
         assert all(len(hashes) == 1 for hashes in by_n.values())
 
-    def test_split_sweep_covers_every_m(self):
-        rows = bench_run(4, repeats=1)
-        for n in range(5):
-            ms = [r.split_m for r in rows if r.n == n and r.method == "split"]
-            assert ms == list(range(n + 1))
-
     def test_cell_order(self):
-        # per n: recurrence, then stirling-sum, then split at m = 0..n
+        # per n: recurrence, then stirling-sum, then split at m = 0..n;
+        # only the split rows carry a split index
         expected = [
             cell
-            for n in range(4)
+            for n in range(5)
             for cell in [("recurrence", n, None), ("stirling-sum", n, None)]
             + [("split", n, m) for m in range(n + 1)]
         ]
-        assert [(r.method, r.n, r.split_m) for r in bench_run(3, repeats=1)] == expected
-
-    def test_whole_methods_have_no_split_index(self):
-        rows = bench_run(3, repeats=1)
-        assert {r.method for r in rows if r.split_m is None} == {"recurrence", "stirling-sum"}
+        assert [(r.method, r.n, r.split_m) for r in bench_run(4, repeats=1)] == expected
 
     def test_mismatching_split_aborts(self):
         def split_fn(m, k):
@@ -1076,6 +1067,29 @@ class TestEntryPoint:
         assert exc_info.value.code == 0
         assert capsys.readouterr().out == "-1/30\n"
 
+    def test_closed_stdout_exits_like_sigpipe(self, tmp_path):
+        # The table is several hundred KB, far more than one pipe buffer,
+        # so bernlab is still writing when the reader goes away.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = "import sys; from bernlab.cli import main; sys.argv[0] = 'bernlab'; main()"
+        with open(tmp_path / "stderr", "wb") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-c", code, "table", "bernoulli", "--max", "1000"],
+                env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE, stderr=err,
+            )
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            status = proc.wait(timeout=60)
+        assert (first, status, (tmp_path / "stderr").read_text()) == (b"B_0 = 1\n", 141, "")
+
+    def test_closed_stdout_is_not_a_data_error(self, monkeypatch):
+        def closed(output, fmt):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(cli, "_emit", closed)
+        with pytest.raises(BrokenPipeError):
+            run(["bernoulli", "4"])
+
 
 class TestGoldenOutput:
     @pytest.mark.parametrize("cmd,fmt", sorted(CLI_GOLDEN))
@@ -1396,3 +1410,50 @@ class TestSharedParser:
 
     def test_build_parser_returns_a_new_parser(self):
         assert cli.build_parser() is not cli.build_parser()
+
+
+def reference_run(argv):
+    """`run` with one full parse by a new top-level parser, which hands the
+    words after the subcommand name to that subcommand's parser itself."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
+    try:
+        return cli._emit(args.handler(args), args.format)
+    except BenchMismatchError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, ZeroDivisionError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+class TestDispatch:
+    """`run` hands a request that starts with a subcommand name straight to
+    that subcommand's parser; code, stdout and stderr must be what a full
+    argparse pass gives, on whatever interpreter runs the suite."""
+
+    EDGE_CASES = [
+        [], ["-h"], ["--help"], ["bogus"], ["Bernoulli", "5"], ["bern", "5"],
+        ["-x", "bernoulli", "5"], ["--format", "json", "bernoulli", "5"], ["bernoulli"],
+        ["bernoulli", "5", "extra"], ["identity", "1", "2", "3", "4"],
+        ["bench", "--max-sum", "1", "x"], ["bernoulli", "--", "5"], ["bernoulli", "5", "--", "6"],
+        ["stirling", "--", "-3", "1"], ["bernoulli", "-h"], ["bernoulli", "5", "-h", "junk"],
+        ["bernoulli", "5", "--meth", "split"], ["bernoulli", "5", "--format", "xml"],
+        ["polylog", "3", "--at", "-7/3"],
+    ]
+
+    @pytest.mark.parametrize("argv", EDGE_CASES, ids=" ".join)
+    def test_edge_cases_match_a_full_parse(self, capsys, argv):
+        expected = reference_run(argv), *capsys.readouterr()
+        assert run_capture(capsys, *argv) == expected
+
+    @pytest.mark.parametrize("cmd,fmt", sorted(CLI_GOLDEN))
+    def test_golden_requests_match_a_full_parse(self, capsys, cmd, fmt):
+        argv = [*CLI_GOLDEN_ARGV[cmd], "--format", fmt]
+        code = reference_run(argv)
+        out, err = capsys.readouterr()
+        expected = code, mask_noisy(cmd, fmt, out), err
+        code, out, err = run_capture(capsys, *argv)
+        assert (code, mask_noisy(cmd, fmt, out), err) == expected
