@@ -1,18 +1,20 @@
 """Command-line interface, b-file handling, and the benchmark harness.
 
 Each subcommand handler computes its result and returns one `Output`
-record: the plain-text lines, the CSV header and rows, the JSON object
-and the exit code.  `run` prints it through `_emit`, the only code that
-looks at `--format` (plain, csv or json).  The argument parser is built
-once per process, on the first `run` call, and reused by every later
-one; a request that starts with a subcommand name is parsed by that
-subcommand's parser alone.  Exit-code contract: 0 for success or PASS,
-1 for a verification FAIL, 2 for usage, parse, or data errors, and 141
-(128 + SIGPIPE) from `main` when stdout is closed early, as by `head`.
+record: the plain-text lines, the CSV rows as dicts (the first row's
+keys are the header), the JSON object and the exit code.  `run` prints
+it through `_emit`, the only code that looks at `--format` (plain, csv
+or json).  The argument parser is built once per process, on the first
+`run` call, and reused by every later one; a request that starts with a
+subcommand name is parsed by that subcommand's parser alone.  Exit-code
+contract: 0 for success or PASS, 1 for a verification FAIL, 2 for usage,
+parse, or data errors, and 141 (128 + SIGPIPE) from `main` when stdout
+is closed early, as by `head`.
 Size arguments above `MAX_SIZE`, an `oeis-check --max` above
 `MAX_OEIS_CHECK`, a `polylog --at` value above `MAX_AT_DIGITS`, a bench
-sweep above `MAX_BENCH_SUM` and quadrature rules above `MAX_PANELS` or
-`MAX_NODES` are refused with exit 2 before any work starts.
+sweep above `MAX_BENCH_SUM`, quadrature rules above `MAX_PANELS` or
+`MAX_NODES` and b-files longer than `MAX_BFILE_CHARS` are refused with
+exit 2 before any work starts.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ import time
 from _blake2 import blake2b
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .bernoulli import (
@@ -52,11 +53,11 @@ from .quadrature import (
 )
 
 __all__ = [
-    "BFileParseError",
     "BenchMismatchError",
     "BenchRow",
     "OeisRow",
     "MAX_BENCH_SUM",
+    "MAX_BFILE_CHARS",
     "MAX_NODES",
     "MAX_PANELS",
     "MAX_SIZE",
@@ -111,6 +112,13 @@ MAX_BENCH_SUM = 60
 # beta-check) and peaks at about 25 MB.
 MAX_PANELS = 1024
 MAX_NODES = 256
+# Longest b-file oeis-check reads, in characters; a longer one (or an
+# endless one, such as /dev/zero) is refused before it is parsed.  A
+# numerator file of every index whose numerator fits the interpreter's
+# default 4300-digit int-str limit (0..2063) takes 2.0 MB and its
+# denominator file 18 KB, so the cap admits all of it with room to spare
+# while bounding what one request holds in memory.
+MAX_BFILE_CHARS = 8 * 2**20
 
 
 def rational_json(q: Fraction) -> dict[str, str]:
@@ -127,17 +135,10 @@ def _shown(text: str) -> str:
 # b-files (OEIS-style "index value" lines)
 
 
-class BFileParseError(ValueError):
-    """Malformed b-file content; carries the 1-based line number."""
-
-    def __init__(self, lineno: int, message: str):
-        super().__init__(f"line {lineno}: {message}")
-        self.lineno = lineno
-
-
 def parse_bfile(text: str) -> dict[int, int]:
     """Parse b-file text into {index: value}: one 'index value' pair per
-    line, '#' comments and blank lines ignored, indices strictly increasing."""
+    line, '#' comments and blank lines ignored, indices strictly increasing.
+    A malformed line raises ValueError, its message starting 'line N: '."""
     entries: dict[int, int] = {}
     last: Optional[int] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -146,20 +147,28 @@ def parse_bfile(text: str) -> dict[int, int]:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise BFileParseError(lineno, f"expected 'index value', got {_shown(raw)}")
+            raise ValueError(f"line {lineno}: expected 'index value', got {_shown(raw)}")
         try:
             index, value = int(parts[0]), int(parts[1])
         except ValueError:
-            error = functools.partial(BFileParseError, lineno)
-            _check_str_digits(f"a number in {_shown(raw)}", _longest_digit_run(line), error)
-            raise BFileParseError(lineno, f"non-integer token in {_shown(raw)}") from None
+            _check_str_digits(f"line {lineno}: a number in {_shown(raw)}", _longest_digit_run(line))
+            raise ValueError(f"line {lineno}: non-integer token in {_shown(raw)}") from None
         if last is not None and index <= last:
-            raise BFileParseError(
-                lineno, f"indices must be strictly increasing, got {index} after {last}"
+            raise ValueError(
+                f"line {lineno}: indices must be strictly increasing, got {index} after {last}"
             )
         last = index
         entries[index] = value
     return entries
+
+
+def _read_bfile(path: str) -> dict[int, int]:
+    """parse_bfile of the file at path, refused unread past MAX_BFILE_CHARS."""
+    with open(path) as f:
+        text = f.read(MAX_BFILE_CHARS + 1)
+    if len(text) > MAX_BFILE_CHARS:
+        raise ValueError(f"b-file {_shown(path)} is over the cap of {MAX_BFILE_CHARS} characters")
+    return parse_bfile(text)
 
 
 @dataclass(frozen=True)
@@ -271,33 +280,30 @@ def bench_run(
 
 
 class Output(NamedTuple):
-    """One subcommand's result in every format `_emit` can print."""
+    """One subcommand's result in every format `_emit` can print; `rows`
+    is the CSV table, one dict per row, all with the same keys."""
 
     plain: list[str]
-    header: Sequence[str]
-    rows: list[Sequence[object]]
+    rows: list[dict]
     json: dict
     code: int = 0
-
-
-def _record(plain: list[str], record: dict, code: int = 0) -> Output:
-    """An Output whose CSV is the single row `record` under its keys."""
-    return Output(plain, tuple(record), [tuple(record.values())], record, code)
 
 
 def _emit(output: Output, fmt: str) -> int:
     """Print `output` in `fmt` and return its exit code.
 
     JSON writes Fractions as {"num", "den"} decimal strings; CSV writes
-    them with str, bools as true/false and None as an empty cell.
+    the first row's keys as its header, then each row's values: Fractions
+    with str, bools as true/false and None as an empty cell.
     """
     if fmt == "plain":
         print(*output.plain, sep="\n")
     elif fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(output.header)
+        writer.writerow(output.rows[0])
         writer.writerows(
-            ["true" if v is True else "false" if v is False else v for v in row] for row in output.rows
+            ["true" if v is True else "false" if v is False else v for v in row.values()]
+            for row in output.rows
         )
     else:
         print(json.dumps(output.json, indent=2, default=rational_json))
@@ -319,7 +325,6 @@ def _report_output(report: QuadratureReport, tol: float, first: str, second: str
         "tol": tol,
         "status": status,
     }
-    header = [key for key in record if key != "tol"]
     plain = [
         f"{first}={report.m} {second}={report.n} panels={report.panels} nodes={report.nodes}",
         f"estimate  = {report.estimate!r}",
@@ -328,7 +333,8 @@ def _report_output(report: QuadratureReport, tol: float, first: str, second: str
         f"rel_error = {report.rel_error:.3e} (tol {tol:g})",
         status,
     ]
-    return Output(plain, header, [[record[key] for key in header]], record, 0 if ok else 1)
+    row = {key: value for key, value in record.items() if key != "tol"}
+    return Output(plain, [row], record, 0 if ok else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -358,24 +364,22 @@ def _cmd_bernoulli(args: argparse.Namespace) -> Output:
         value = bernoulli_stirling_sum(args.n)
     else:
         value = bernoulli_recurrence(args.n)
-    return _record([str(value)], {"n": args.n, "value": value})
+    record = {"n": args.n, "value": value}
+    return Output([str(value)], [record], record)
 
 
 def _cmd_stirling(args: argparse.Namespace) -> Output:
     _check_size("n", args.n)
     value = str(stirling2(args.n, args.k))
-    return _record([value], {"n": args.n, "k": args.k, "value": value})
+    record = {"n": args.n, "k": args.k, "value": value}
+    return Output([value], [record], record)
 
 
 def _cmd_table(args: argparse.Namespace) -> Output:
     _check_size("--max", args.max)
-    values = [(n, bernoulli_recurrence(n)) for n in range(args.max + 1)]
-    return Output(
-        [f"B_{n} = {v}" for n, v in values],
-        ("n", "value"),
-        values,
-        {"max": args.max, "values": [{"n": n, "value": v} for n, v in values]},
-    )
+    values = [{"n": n, "value": bernoulli_recurrence(n)} for n in range(args.max + 1)]
+    plain = [f"B_{row['n']} = {row['value']}" for row in values]
+    return Output(plain, values, {"max": args.max, "values": values})
 
 
 def _cmd_identity(args: argparse.Namespace) -> Output:
@@ -384,11 +388,10 @@ def _cmd_identity(args: argparse.Namespace) -> Output:
     split_value = bernoulli_split(args.m, args.n)
     oracle = bernoulli_recurrence(index)
     ok = split_value == oracle
-    return _record(
-        [f"B_{index} = {split_value}", "MATCH" if ok else f"MISMATCH (recurrence gives {oracle})"],
-        {"m": args.m, "n": args.n, "index": index, "split": split_value, "recurrence": oracle, "match": ok},
-        0 if ok else 1,
-    )
+    record = {"m": args.m, "n": args.n, "index": index,
+              "split": split_value, "recurrence": oracle, "match": ok}
+    plain = [f"B_{index} = {split_value}", "MATCH" if ok else f"MISMATCH (recurrence gives {oracle})"]
+    return Output(plain, [record], record, 0 if ok else 1)
 
 
 def _decimal_digits(x: int) -> int:
@@ -426,18 +429,13 @@ def _cmd_polylog(args: argparse.Namespace) -> Output:
         digits = max(_decimal_digits(value.numerator), _decimal_digits(value.denominator))
         _check_str_digits("the value at t", digits)
         plain.append(f"value at t = {at}: {value}")
-    return Output(
-        plain,
-        ("n", "numerator", "denominator", "at", "value"),
-        [(args.n, num, den, at, value)],
-        {
-            "n": args.n,
-            "numerator": [str(c) for c in f.numerator.coeffs],
-            "denominator": [str(c) for c in f.denominator.coeffs],
-            "at": at,
-            "value": value,
-        },
-    )
+    row = {"n": args.n, "numerator": num, "denominator": den, "at": at, "value": value}
+    # The JSON row keeps the key order, with the coefficient lists as the parts.
+    return Output(plain, [row], {
+        **row,
+        "numerator": [str(c) for c in f.numerator.coeffs],
+        "denominator": [str(c) for c in f.denominator.coeffs],
+    })
 
 
 def _cmd_verify_integral(args: argparse.Namespace) -> Output:
@@ -454,8 +452,8 @@ def _cmd_beta_check(args: argparse.Namespace) -> Output:
 
 def _cmd_oeis_check(args: argparse.Namespace) -> Output:
     _check_size("--max", args.max, MAX_OEIS_CHECK)
-    numerators = parse_bfile(Path(args.numerators).read_text())
-    denominators = parse_bfile(Path(args.denominators).read_text())
+    numerators = _read_bfile(args.numerators)
+    denominators = _read_bfile(args.denominators)
     rows = oeis_check(numerators, denominators, args.max)
     passed = sum(r.ok for r in rows)
     all_ok = passed == len(rows)
@@ -465,13 +463,10 @@ def _cmd_oeis_check(args: argparse.Namespace) -> Output:
         for r in rows
     ]
     plain.append(f"{passed}/{len(rows)} PASS")
-    return Output(
-        plain,
-        ("n", "file_value", "recurrence", "split", "status"),
-        [(r.n, r.file_value, r.recurrence, r.split, "PASS" if r.ok else "FAIL") for r in rows],
-        {"max": args.max, "rows": [vars(r) for r in rows], "all_pass": all_ok},
-        0 if all_ok else 1,
-    )
+    table = [{"n": r.n, "file_value": r.file_value, "recurrence": r.recurrence, "split": r.split,
+              "status": "PASS" if r.ok else "FAIL"} for r in rows]
+    payload = {"max": args.max, "rows": [vars(r) for r in rows], "all_pass": all_ok}
+    return Output(plain, table, payload, 0 if all_ok else 1)
 
 
 def _cmd_bench(args: argparse.Namespace) -> Output:
@@ -480,12 +475,8 @@ def _cmd_bench(args: argparse.Namespace) -> Output:
     for r in rows:
         m = "-" if r.split_m is None else str(r.split_m)
         plain.append(f"{r.method:<14}{r.n:>4}{m:>9}{r.seconds:>14.3e}  {r.result_hash}")
-    return Output(
-        plain,
-        ("method", "n", "split_m", "seconds", "result_hash"),
-        [tuple(vars(r).values()) for r in rows],
-        {"max_sum": args.max_sum, "rows": [vars(r) for r in rows]},
-    )
+    table = [vars(r) for r in rows]
+    return Output(plain, table, {"max_sum": args.max_sum, "rows": table})
 
 
 # ---------------------------------------------------------------------------
@@ -549,8 +540,7 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(
             f"{shown} has an exponent beyond the --at cap of {MAX_AT_DIGITS} digits"
         )
-    digits = max((len(run.replace("_", "")) for run in match.groups() if run), default=0)
-    _check_str_digits(f"a number in {shown}", digits, argparse.ArgumentTypeError)
+    _check_str_digits(f"a number in {shown}", _longest_digit_run(text), argparse.ArgumentTypeError)
     try:
         return Fraction(re.sub(r"[\s_]", "", text))
     except ZeroDivisionError:

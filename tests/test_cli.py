@@ -28,9 +28,9 @@ from bernlab.polylog import polylog_neg_rf, rf_eval_exact
 from bernlab.cli import (
     BenchMismatchError,
     BenchRow,
-    BFileParseError,
     MAX_AT_DIGITS,
     MAX_BENCH_SUM,
+    MAX_BFILE_CHARS,
     MAX_NODES,
     MAX_OEIS_CHECK,
     MAX_PANELS,
@@ -77,42 +77,37 @@ class TestParseBfile:
         assert list(parse_bfile("# only a comment\n").items()) == []
 
     def test_non_integer_token(self):
-        with pytest.raises(BFileParseError, match=r"line 1: non-integer token"):
+        with pytest.raises(ValueError, match=r"^line 1: non-integer token"):
             parse_bfile("3 a")
 
     def test_line_numbers_count_comments_and_blanks(self):
-        with pytest.raises(BFileParseError, match=r"line 3:") as exc_info:
+        with pytest.raises(ValueError, match=r"^line 3: "):
             parse_bfile("# header\n\n1 2 3\n")
-        assert exc_info.value.lineno == 3
 
     def test_wrong_token_count(self):
-        with pytest.raises(BFileParseError, match=r"expected 'index value'"):
+        with pytest.raises(ValueError, match=r"^line 1: expected 'index value'"):
             parse_bfile("1 2 3")
-        with pytest.raises(BFileParseError, match=r"expected 'index value'"):
+        with pytest.raises(ValueError, match=r"^line 1: expected 'index value'"):
             parse_bfile("7")
 
     def test_non_increasing_indices(self):
-        with pytest.raises(BFileParseError, match=r"line 2: .*strictly increasing"):
+        with pytest.raises(ValueError, match=r"^line 2: .*strictly increasing"):
             parse_bfile("0 1\n0 2\n")
-        with pytest.raises(BFileParseError, match=r"line 2: .*strictly increasing"):
+        with pytest.raises(ValueError, match=r"^line 2: .*strictly increasing"):
             parse_bfile("5 3\n4 1\n")
-
-    def test_parse_error_is_a_value_error(self):
-        with pytest.raises(ValueError):
-            parse_bfile("x y")
 
     def test_messages_echo_a_short_prefix_of_the_line(self):
         line = "1 2 " + "3" * 5000
-        with pytest.raises(BFileParseError) as exc_info:
+        with pytest.raises(ValueError) as exc_info:
             parse_bfile(line)
         assert str(exc_info.value) == f"line 1: expected 'index value', got {line[:40]!r}..."
-        with pytest.raises(BFileParseError) as exc_info:
+        with pytest.raises(ValueError) as exc_info:
             parse_bfile("1 x" + "y" * 5000)
         assert str(exc_info.value) == f"line 1: non-integer token in '1 x{'y' * 37}'..."
 
     def test_value_past_the_digit_limit_names_it(self, set_str_digit_limit):
         set_str_digit_limit(4300)
-        with pytest.raises(BFileParseError, match=(
+        with pytest.raises(ValueError, match=(
             r"^line 2: a number in '3000 7{35}'\.\.\. has 4400 digits, "
             r"over the interpreter's int-str limit of 4300$"
         )):
@@ -992,6 +987,44 @@ class TestOeisCheckCommand:
         )
         assert code == 2 and "line 2" in err
 
+    def test_a_file_of_exactly_the_cap_is_read(self, capsys, tmp_path, monkeypatch):
+        text = Path(NUMERATORS).read_text()
+        monkeypatch.setattr(cli, "MAX_BFILE_CHARS", len(text))
+        monkeypatch.chdir(tmp_path)
+        Path("nums.txt").write_text(text)
+        argv = ["oeis-check", "--numerators", "nums.txt", "--denominators", DENOMINATORS, "--max", "1"]
+        code, out, err = run_capture(capsys, *argv)
+        assert (code, out, err) == (0, "n=0 PASS\nn=1 PASS\n2/2 PASS\n", "")
+        Path("nums.txt").write_text(text + "#")
+        code, out, err = run_capture(capsys, *argv)
+        assert (code, out, err) == (
+            2, "", f"error: b-file 'nums.txt' is over the cap of {len(text)} characters\n"
+        )
+
+    def test_a_long_path_is_echoed_cut(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_BFILE_CHARS", 10)
+        nums = tmp_path / ("n" * 60 + ".txt")
+        nums.write_text(Path(NUMERATORS).read_text())
+        code, out, err = run_capture(
+            capsys, "oeis-check", "--numerators", str(nums),
+            "--denominators", DENOMINATORS, "--max", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: b-file {str(nums)[:40]!r}... is over the cap of 10 characters\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    def test_an_endless_file_exits_two_in_a_fresh_process(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = "import sys; from bernlab.cli import main; sys.argv[0] = 'bernlab'; main()"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "oeis-check", "--numerators", "/dev/zero",
+             "--denominators", DENOMINATORS, "--max", "1"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", f"error: b-file '/dev/zero' is over the cap of {MAX_BFILE_CHARS} characters\n"
+        )
+
 
 class TestBenchCommand:
     def test_csv_output(self, capsys):
@@ -1091,7 +1124,56 @@ class TestEntryPoint:
             run(["bernoulli", "4"])
 
 
+def oeis_golden_row(n, file_value, value, ok):
+    return {"n": n, "file_value": file_value, "recurrence": value, "split": value, "ok": ok}
+
+
+ONE, HALF, SIXTH = ({"num": "1", "den": str(d)} for d in (1, 2, 6))
+MINUS_HALF = {"num": "-1", "den": "2"}
+OEIS_CSV_HEADER = "n,file_value,recurrence,split,status\n"
+
+# One-row tables and a table with a FAIL row: the CSV header is the first
+# row's keys, so these pin it where the table is as short as it gets.
+# JSON entries are the parsed objects; their bytes are json.dumps(..., indent=2).
+SMALL_TABLE_GOLDEN = {
+    ("table", "csv"): (0, "n,value\n0,1\n"),
+    ("table", "json"): (0, {"max": 0, "values": [{"n": 0, "value": ONE}]}),
+    ("oeis-check", "csv"): (0, OEIS_CSV_HEADER + "0,1,1,1,PASS\n"),
+    ("oeis-check", "json"): (
+        0, {"max": 0, "rows": [oeis_golden_row(0, ONE, ONE, True)], "all_pass": True}
+    ),
+    ("tampered", "csv"): (
+        1, OEIS_CSV_HEADER + "0,1,1,1,PASS\n1,1/2,-1/2,-1/2,FAIL\n2,1/6,1/6,1/6,PASS\n"
+    ),
+    ("tampered", "json"): (1, {
+        "max": 2,
+        "rows": [
+            oeis_golden_row(0, ONE, ONE, True),
+            oeis_golden_row(1, HALF, MINUS_HALF, False),
+            oeis_golden_row(2, SIXTH, SIXTH, True),
+        ],
+        "all_pass": False,
+    }),
+}
+
+
 class TestGoldenOutput:
+    @pytest.mark.parametrize("cmd,fmt", sorted(SMALL_TABLE_GOLDEN))
+    def test_smallest_tables_and_a_fail_row(self, capsys, tmp_path, cmd, fmt):
+        text = Path(NUMERATORS).read_text()
+        assert "\n1 -1\n" in text
+        tampered = tmp_path / "nums.txt"
+        tampered.write_text(text.replace("\n1 -1\n", "\n1 1\n"))
+        argv = {
+            "table": ["table", "bernoulli", "--max", "0"],
+            "oeis-check": ["oeis-check", "--numerators", NUMERATORS, "--denominators", DENOMINATORS, "--max", "0"],
+            "tampered": ["oeis-check", "--numerators", str(tampered), "--denominators", DENOMINATORS, "--max", "2"],
+        }[cmd]
+        code, expected = SMALL_TABLE_GOLDEN[cmd, fmt]
+        if fmt == "json":
+            expected = json.dumps(expected, indent=2) + "\n"
+        assert run_capture(capsys, *argv, "--format", fmt) == (code, expected, "")
+
     @pytest.mark.parametrize("cmd,fmt", sorted(CLI_GOLDEN))
     def test_every_subcommand_in_every_format(self, capsys, cmd, fmt):
         code, out, err = run_capture(capsys, *CLI_GOLDEN_ARGV[cmd], "--format", fmt)
