@@ -32,7 +32,6 @@ import time
 # hashlib.blake2b is this object; importing hashlib also loads OpenSSL's
 # libcrypto, which adds about 3.5 MB to every process's peak RSS.
 from _blake2 import blake2b
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
@@ -54,8 +53,6 @@ from .quadrature import (
 
 __all__ = [
     "BenchMismatchError",
-    "BenchRow",
-    "OeisRow",
     "MAX_BENCH_SUM",
     "MAX_BFILE_CHARS",
     "MAX_NODES",
@@ -73,13 +70,13 @@ __all__ = [
 
 # Largest size argument a subcommand accepts (bernoulli n, stirling n,
 # table --max, polylog n, identity m + n).  At the limit the slowest
-# request is `polylog 1000`, about 1.0-1.3 s as a fresh process (Python
+# request is `polylog 1000`, about 0.75-0.9 s as a fresh process (Python
 # 3.11, 2 vCPUs; growing the Stirling triangle takes 0.3 s,
 # polylog_neg_rf(1000) 0.3 s, rendering 0.1 s, and the rest is start-up;
-# `--at 7/3` adds a 3-6 ms evaluation); `identity 500 500` takes about
-# 0.45-0.65 s, `table bernoulli --max 1000` (a cold Bernoulli table to
-# 1000) 0.25-0.35 s, every other Bernoulli route under 0.7 s, and the
-# Stirling triangle holds about 200 MB.
+# `--at 7/3` adds a 3-6 ms evaluation), and it peaks at about 220 MB,
+# most of it the Stirling triangle; `identity 500 500` takes about
+# 0.35-0.6 s at 44 MB, `table bernoulli --max 1000` (a cold Bernoulli
+# table to 1000) 0.2-0.25 s and every other Bernoulli route under 0.7 s.
 MAX_SIZE = 1000
 # Largest exact value `polylog n --at t` computes, measured as (n + 1)
 # times the digit count of t's numerator or denominator, whichever is
@@ -101,7 +98,7 @@ MAX_AT_DIGITS = 10_000
 # process took 0.65-0.8 s at 300, 1.05-1.15 s at 350, 1.8-2.1 s at 400,
 # 5.3 s at 500 and about a minute at 1000.
 MAX_OEIS_CHECK = 300
-# Largest bench sweep; bench_run(60) takes about 1.1 s.
+# Largest bench sweep; `bench --max-sum 60` takes 0.6-0.9 s as a fresh process.
 MAX_BENCH_SUM = 60
 # Largest quadrature rule of verify-integral and beta-check.  Building a
 # Gauss-Legendre rule grows about as nodes^2 (256 nodes take about
@@ -171,20 +168,13 @@ def _read_bfile(path: str) -> dict[int, int]:
     return parse_bfile(text)
 
 
-@dataclass(frozen=True)
-class OeisRow:
-    n: int
-    file_value: Fraction
-    recurrence: Fraction
-    split: Fraction
-    ok: bool
-
-
 def oeis_check(
     numerators: Mapping[int, int], denominators: Mapping[int, int], max_n: int
-) -> list[OeisRow]:
+) -> list[dict]:
     """Compare numerator/denominator b-file pairs against B_n computed by
     the recurrence and by the balanced split sum, for every 0 <= n <= max_n.
+    Returns one row per n, the JSON rows of oeis-check: a dict with keys
+    n, file_value, recurrence, split (Fractions) and ok.
 
     Both files must cover the whole index range with nonzero denominators;
     a gap or a zero is a data error, raised before any value is computed.
@@ -198,12 +188,13 @@ def oeis_check(
             raise ValueError(f"denominator file does not cover index {n}")
         if denominators[n] == 0:
             raise ValueError(f"denominator file has 0 at index {n}")
-    rows: list[OeisRow] = []
+    rows = []
     for n in range(max_n + 1):
         file_value = Fraction(numerators[n], denominators[n])
         rec = bernoulli_recurrence(n)
         spl = bernoulli_split(n // 2, n - n // 2)
-        rows.append(OeisRow(n, file_value, rec, spl, file_value == rec and file_value == spl))
+        rows.append({"n": n, "file_value": file_value, "recurrence": rec, "split": spl,
+                     "ok": file_value == rec and file_value == spl})
     return rows
 
 
@@ -215,15 +206,6 @@ class BenchMismatchError(RuntimeError):
     """Two strategies produced different rationals; the run is aborted."""
 
 
-@dataclass(frozen=True)
-class BenchRow:
-    method: str
-    n: int
-    split_m: Optional[int]
-    seconds: float
-    result_hash: str
-
-
 def _rational_hash(q: Fraction) -> str:
     return blake2b(f"{q.numerator}/{q.denominator}".encode(), digest_size=8).hexdigest()
 
@@ -232,10 +214,12 @@ def bench_run(
     max_sum: int,
     repeats: int = 5,
     split_fn: Optional[Callable[[int, int], Fraction]] = None,
-) -> list[BenchRow]:
+) -> list[dict]:
     """Time every strategy at every N <= max_sum; for the split sum, sweep
     all m = 0..N.  Each cell is the median of `repeats` runs on the
-    monotonic clock.
+    monotonic clock.  Returns one row per cell, the CSV and JSON rows of
+    bench: a dict with keys method, n, split_m (None for the two
+    whole-number methods), seconds and result_hash.
 
     The recurrence is timed cold (a fresh table per run); the two
     Stirling-sum strategies are timed with the shared Stirling triangle
@@ -252,7 +236,7 @@ def bench_run(
     if split_fn is None:
         split_fn = bernoulli_split
     stirling2_row(max_sum)  # warm the shared triangle once, outside the clocks
-    rows: list[BenchRow] = []
+    rows = []
     for n in range(max_sum + 1):
         reference = bernoulli_recurrence(n)
         # The lambdas look their route up when called, so a replaced
@@ -271,7 +255,8 @@ def bench_run(
             if value != reference:
                 cell = f"method {name!r}" if m is None else f"split ({m}, {n - m})"
                 raise BenchMismatchError(f"{cell} disagrees at n={n}: {value} != {reference}")
-            rows.append(BenchRow(name, n, m, statistics.median(times), _rational_hash(value)))
+            rows.append({"method": name, "n": n, "split_m": m,
+                         "seconds": statistics.median(times), "result_hash": _rational_hash(value)})
     return rows
 
 
@@ -455,17 +440,17 @@ def _cmd_oeis_check(args: argparse.Namespace) -> Output:
     numerators = _read_bfile(args.numerators)
     denominators = _read_bfile(args.denominators)
     rows = oeis_check(numerators, denominators, args.max)
-    passed = sum(r.ok for r in rows)
+    passed = sum(r["ok"] for r in rows)
     all_ok = passed == len(rows)
     plain = [
-        f"n={r.n} PASS" if r.ok
-        else f"n={r.n} FAIL file={r.file_value} recurrence={r.recurrence} split={r.split}"
+        f"n={r['n']} PASS" if r["ok"]
+        else f"n={r['n']} FAIL file={r['file_value']} recurrence={r['recurrence']} split={r['split']}"
         for r in rows
     ]
     plain.append(f"{passed}/{len(rows)} PASS")
-    table = [{"n": r.n, "file_value": r.file_value, "recurrence": r.recurrence, "split": r.split,
-              "status": "PASS" if r.ok else "FAIL"} for r in rows]
-    payload = {"max": args.max, "rows": [vars(r) for r in rows], "all_pass": all_ok}
+    table = [{"n": r["n"], "file_value": r["file_value"], "recurrence": r["recurrence"],
+              "split": r["split"], "status": "PASS" if r["ok"] else "FAIL"} for r in rows]
+    payload = {"max": args.max, "rows": rows, "all_pass": all_ok}
     return Output(plain, table, payload, 0 if all_ok else 1)
 
 
@@ -473,10 +458,9 @@ def _cmd_bench(args: argparse.Namespace) -> Output:
     rows = bench_run(args.max_sum)
     plain = [f"{'method':<14}{'n':>4}{'split_m':>9}{'seconds':>14}  result_hash"]
     for r in rows:
-        m = "-" if r.split_m is None else str(r.split_m)
-        plain.append(f"{r.method:<14}{r.n:>4}{m:>9}{r.seconds:>14.3e}  {r.result_hash}")
-    table = [vars(r) for r in rows]
-    return Output(plain, table, {"max_sum": args.max_sum, "rows": table})
+        m = "-" if r["split_m"] is None else str(r["split_m"])
+        plain.append(f"{r['method']:<14}{r['n']:>4}{m:>9}{r['seconds']:>14.3e}  {r['result_hash']}")
+    return Output(plain, rows, {"max_sum": args.max_sum, "rows": rows})
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from bernlab.bernoulli import bernoulli_recurrence
 from bernlab.polylog import polylog_neg_rf, rf_eval_exact
 from bernlab.cli import (
     BenchMismatchError,
-    BenchRow,
     MAX_AT_DIGITS,
     MAX_BENCH_SUM,
     MAX_BFILE_CHARS,
@@ -141,15 +140,17 @@ class TestOeisCheck:
         nums, dens = good_entries(10)
         rows = oeis_check(nums, dens, 10)
         assert len(rows) == 11
-        assert all(r.ok for r in rows)
-        assert rows[4].file_value == rows[4].recurrence == rows[4].split == Fraction(-1, 30)
+        # The keys are oeis-check's JSON row keys, in order.
+        assert all(list(r) == ["n", "file_value", "recurrence", "split", "ok"] for r in rows)
+        assert all(r["ok"] for r in rows)
+        assert rows[4]["file_value"] == rows[4]["recurrence"] == rows[4]["split"] == Fraction(-1, 30)
 
     def test_single_tampered_value_is_flagged(self):
         nums, dens = good_entries(8)
         nums[4] += 1
         rows = oeis_check(nums, dens, 8)
-        assert [r.n for r in rows if not r.ok] == [4]
-        assert rows[4].file_value != rows[4].recurrence
+        assert [r["n"] for r in rows if not r["ok"]] == [4]
+        assert rows[4]["file_value"] != rows[4]["recurrence"]
 
     def test_missing_index_is_a_data_error(self, no_bernoulli_values):
         nums, dens = good_entries(8)
@@ -190,15 +191,16 @@ class TestBenchRun:
         # then one per split m = 0..n
         assert len(rows) == sum(2 + n + 1 for n in range(6)) == 33
         for row in rows:
-            assert isinstance(row, BenchRow)
-            assert row.seconds >= 0.0
-            assert len(row.result_hash) == 16
+            # The keys are bench's CSV header and JSON row keys, in order.
+            assert list(row) == ["method", "n", "split_m", "seconds", "result_hash"]
+            assert row["seconds"] >= 0.0
+            assert len(row["result_hash"]) == 16
 
     def test_methods_agree_via_hashes(self):
         rows = bench_run(4, repeats=1)
         by_n = {}
         for row in rows:
-            by_n.setdefault(row.n, set()).add(row.result_hash)
+            by_n.setdefault(row["n"], set()).add(row["result_hash"])
         assert all(len(hashes) == 1 for hashes in by_n.values())
 
     def test_cell_order(self):
@@ -210,7 +212,7 @@ class TestBenchRun:
             for cell in [("recurrence", n, None), ("stirling-sum", n, None)]
             + [("split", n, m) for m in range(n + 1)]
         ]
-        assert [(r.method, r.n, r.split_m) for r in bench_run(4, repeats=1)] == expected
+        assert [(r["method"], r["n"], r["split_m"]) for r in bench_run(4, repeats=1)] == expected
 
     def test_mismatching_split_aborts(self):
         def split_fn(m, k):
@@ -249,9 +251,9 @@ class TestStandardLibraryOnly:
     def test_bench_hashes_are_hashlib_blake2b(self):
         assert cli.blake2b is hashlib.blake2b
         for row in bench_run(3, repeats=1):
-            q = bernoulli_recurrence(row.n)
+            q = bernoulli_recurrence(row["n"])
             digest = hashlib.blake2b(f"{q.numerator}/{q.denominator}".encode(), digest_size=8)
-            assert row.result_hash == digest.hexdigest(), row
+            assert row["result_hash"] == digest.hexdigest(), row
 
     def test_no_subcommand_loads_openssl_or_a_third_party_module(self):
         # A fresh process, since the test process has imported hashlib.

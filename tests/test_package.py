@@ -1,5 +1,5 @@
 """The package namespace: `bernlab` re-exports each module's `__all__`,
-and nothing else."""
+and nothing else; `bernlab.cli`, which it leaves out, has its own list."""
 
 import os
 import subprocess
@@ -41,11 +41,36 @@ PUBLIC = {
     "zeta_nonpositive": "bernoulli",
 }
 MODULES = ("bernoulli", "combinatorics", "exact_arith", "polylog", "quadrature")
+# The public names of bernlab.cli, in the order of its __all__.
+CLI_PUBLIC = [
+    "BenchMismatchError",
+    "MAX_BENCH_SUM",
+    "MAX_BFILE_CHARS",
+    "MAX_NODES",
+    "MAX_PANELS",
+    "MAX_SIZE",
+    "MAX_AT_DIGITS",
+    "MAX_OEIS_CHECK",
+    "parse_bfile",
+    "oeis_check",
+    "bench_run",
+    "build_parser",
+    "run",
+    "main",
+]
 
 
 def test_all_lists_the_public_names_in_order():
     assert len(PUBLIC) == 27
     assert bernlab.__all__ == list(PUBLIC)
+
+
+def test_cli_all_lists_its_public_names_in_order():
+    from bernlab import cli
+
+    assert len(CLI_PUBLIC) == 14
+    assert cli.__all__ == CLI_PUBLIC
+    assert all(hasattr(cli, name) for name in CLI_PUBLIC)
 
 
 def test_each_name_is_the_object_its_module_defines():
