@@ -102,10 +102,10 @@ MAX_OEIS_CHECK = 300
 MAX_BENCH_SUM = 60
 # Largest quadrature rule of verify-integral and beta-check.  Building a
 # Gauss-Legendre rule grows about as nodes^2 (256 nodes take about
-# 0.02 s, 1024 about 0.5 s), and each polylog form takes 1-1.5 us per
+# 0.02 s, 1024 about 0.35 s), and each polylog form takes 0.5-0.7 us per
 # node at order 12, so the largest rule, 1024 panels of 256 nodes, takes
-# at most about 0.9 s as a fresh process (verify-integral 0 12; 0.5 s
-# when m = n, whose one form serves both factors, and 0.35 s for
+# 0.33-0.43 s as a fresh process for verify-integral 0 12 (0.23-0.38 s
+# when m = n, whose one form serves both factors, and 0.15-0.31 s for
 # beta-check) and peaks at about 25 MB.
 MAX_PANELS = 1024
 MAX_NODES = 256

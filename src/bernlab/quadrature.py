@@ -11,9 +11,9 @@ u under that substitution, so composite Gauss-Legendre reaches machine
 precision almost immediately; the quadrature never needs either
 endpoint.  The identity and Beta checks integrate directly in u: the
 identity integrand times dt is L_n(u, 1-u) * L_m(1-u, u) du (see
-_form_at_nodes), and each form is evaluated once per order and rule at
-the rule's nodes and cached, so a check is a dot product of two cached
-vectors with the weights.
+_form_at_nodes), and each form is evaluated once per order and rule, by
+one float Horner loop over the rule's nodes, and cached, so a check is a
+dot product of two cached vectors with the weights.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .bernoulli import bernoulli_recurrence
 from .exact_arith import beta_integer
@@ -135,16 +136,6 @@ def _panel_rule(panels: int, nodes: int) -> tuple[array, array]:
     return us, array("d", [half * w for w in ws]) * panels
 
 
-def _form(coeffs: tuple[float, ...], x: float, y: float) -> float:
-    """sum_j c_j x^j y^(d-j) with d = len(coeffs) - 1, for x, y > 0."""
-    if x > y:
-        coeffs, x, y = coeffs[::-1], y, x
-    acc, r = 0.0, x / y
-    for c in reversed(coeffs):
-        acc = acc * r + c
-    return acc * y ** (len(coeffs) - 1)
-
-
 # Bounded to one workload's working set: every order verify_integral
 # accepts, on three rules.  A vector of the largest rule holds 2 MB.
 @lru_cache(maxsize=3 * (MAX_IDENTITY_SUM + 1))
@@ -157,14 +148,30 @@ def _form_at_nodes(n: int, panels: int, nodes: int) -> array:
     sum_{i>=1} a_i u^(i-1) v^(n+1-i) of degree n.  Replacing t by 1/t
     swaps u and v, so Li_{-m}(-1/t) = v * L_m(v, u), and since
     u*v/t = v^2 the identity integrand is L_n(u, v) * L_m(v, u) * v^2.
-    That v^2 cancels against dt = du/(1-u)^2 = du/v^2.  _form runs Horner
-    in whichever of u/v and v/u is at most 1 and scales by a power of the
-    larger, so no intermediate overflows at any node.
+    That v^2 cancels against dt = du/(1-u)^2 = du/v^2.  Each node runs
+    Horner in whichever of u/v and v/u is at most 1 (u/v on a tie) and
+    scales by the n-th power of the larger, so no intermediate overflows
+    at any node.
     """
     coeffs = polylog_neg_rf(n).numerator.coeffs[1:]
     coeffs = tuple(map(float, coeffs)) + (0.0,) * (n + 1 - len(coeffs))
+    # Horner in r = u/v runs from a_(n+1) down to a_1; in r = v/u, up.
+    down = coeffs[::-1]
     us, _ = _panel_rule(panels, nodes)
-    return array("d", (_form(coeffs, u, 1.0 - u) for u in us))
+    # Straight into the array: a list of the largest rule's 262144 float
+    # objects would add about 10 MB to the peak of its request.
+    values = array("d")
+    for u in us:
+        v = 1.0 - u
+        if u > v:
+            cs, r, y = coeffs, v / u, u
+        else:
+            cs, r, y = down, u / v, v
+        acc = 0.0
+        for c in cs:
+            acc = acc * r + c
+        values.append(acc * y**n)
+    return values
 
 
 def expected_integral_value(m: int, n: int) -> Fraction:
@@ -193,7 +200,8 @@ def verify_integral(
     # L_m(1-u_j, u_j) is L_m at the mirrored node u_(N-1-j) = 1 - u_j.
     _, ws = _panel_rule(panels, nodes)
     right, left = _form_at_nodes(n, panels, nodes), _form_at_nodes(m, panels, nodes)
-    estimate = math.fsum(w * a * b for w, a, b in zip(ws, right, reversed(left)))
+    # (w * a) * b at every node, fed to fsum without a list of terms.
+    estimate = math.fsum(map(mul, map(mul, ws, right), reversed(left)))
     return QuadratureReport(m, n, estimate, expected_integral_value(m, n), panels, nodes)
 
 

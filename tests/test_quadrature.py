@@ -8,12 +8,20 @@ That gives the identity an arithmetic-only second route that never
 touches floating point.  The oracle's polynomial arithmetic (a product,
 division by t, synthetic division by 1 + t) lives here, on plain
 integer coefficient lists.
+
+The float estimates themselves are pinned bit for bit by
+golden/quadrature_estimates.jsonl.  Run this file as a script to rewrite
+that golden from the bernlab on the path; ROADMAP item 3 (exact form
+values at the nodes) changes those bits on purpose and regenerates it.
 """
 
 import dataclasses
+import json
 import math
+from array import array
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
@@ -44,8 +52,13 @@ from bernlab.quadrature import (
 P_T = Polynomial([0, 1])
 # Every order pair verify_integral accepts.
 IN_SCOPE = [(m, n) for m in range(MAX_IDENTITY_SUM + 1) for n in range(MAX_IDENTITY_SUM + 1 - m)]
+# Every exponent pair beta_quadrature_check accepts.
+BETA_SCOPE = [(k, s - k) for s in range(MAX_BETA_SUM + 1) for k in range(s + 1)]
 # The rules of the benchmark's integral-quad workload, then those of its CLI requests.
 BENCHMARK_RULES = [(16, 32), (8, 64), (32, 16), (8, 16), (4, 32), (16, 8)]
+# Those plus small rules; (1, 1), (3, 7) and (5, 5) put a node at exactly 1/2.
+GOLDEN_RULES = BENCHMARK_RULES + [(1, 1), (3, 7), (5, 5), (7, 2)]
+ESTIMATES_GOLDEN = Path(__file__).resolve().parent / "golden" / "quadrature_estimates.jsonl"
 
 
 def one_plus_t(e: int) -> Polynomial:
@@ -104,6 +117,40 @@ def exact_halfline_integral(f: RationalFunction) -> Fraction:
         total += Fraction(constant, d - j - 1)
         j += 1
     return total
+
+
+def form_coeffs(n: int) -> tuple[float, ...]:
+    """a_1..a_(n+1) of the form L_n as floats, zero-padded to n + 1 entries."""
+    coeffs = polylog_neg_rf(n).numerator.coeffs[1:]
+    return tuple(map(float, coeffs)) + (0.0,) * (n + 1 - len(coeffs))
+
+
+def per_node_form(coeffs: tuple[float, ...], x: float, y: float) -> float:
+    """sum_j c_j x^j y^(d-j) with d = len(coeffs) - 1, one node at a time.
+
+    Horner in whichever of x/y and y/x is at most 1 (x/y on a tie),
+    scaled by the d-th power of the larger: the per-node evaluation that
+    _form_at_nodes must reproduce bit for bit.
+    """
+    if x > y:
+        coeffs, x, y = coeffs[::-1], y, x
+    acc, r = 0.0, x / y
+    for c in reversed(coeffs):
+        acc = acc * r + c
+    return acc * y ** (len(coeffs) - 1)
+
+
+def estimate_hexes() -> dict[tuple[str, int, int], list[str]]:
+    """float.hex() of every verify_integral estimate over IN_SCOPE and every
+    beta_quadrature_check estimate over BETA_SCOPE, per GOLDEN_RULES rule."""
+    out = {}
+    for kind, check, pairs in (
+        ("verify", verify_integral, IN_SCOPE),
+        ("beta", beta_quadrature_check, BETA_SCOPE),
+    ):
+        for panels, nodes in GOLDEN_RULES:
+            out[kind, panels, nodes] = [check(a, b, panels, nodes).estimate.hex() for a, b in pairs]
+    return out
 
 
 class TestExactOracleIsSelfConsistent:
@@ -210,7 +257,7 @@ class TestGaussLegendre:
 
 
 class TestPanelRule:
-    @pytest.mark.parametrize("panels,nodes", BENCHMARK_RULES + [(1, 1), (3, 7), (5, 5), (7, 2)])
+    @pytest.mark.parametrize("panels,nodes", GOLDEN_RULES)
     def test_symmetric_about_one_half(self, panels, nodes):
         us, ws = _panel_rule(panels, nodes)
         size = panels * nodes
@@ -272,6 +319,49 @@ class TestIntegrand:
                     scale = sum(c * u**i * (1.0 - u) ** (n - i) for i, c in enumerate(a))
                     error = abs(Fraction(value) - exact)
                     assert error <= 4 * eps * scale, (n, panels, nodes, u, value)
+
+
+    @pytest.mark.parametrize("panels,nodes", GOLDEN_RULES)
+    def test_bits_match_a_per_node_evaluation(self, panels, nodes):
+        us, _ = _panel_rule(panels, nodes)
+        for n in range(MAX_IDENTITY_SUM + 1):
+            coeffs = form_coeffs(n)
+            expected = array("d", (per_node_form(coeffs, u, 1.0 - u) for u in us))
+            assert _form_at_nodes(n, panels, nodes).tobytes() == expected.tobytes(), n
+
+    @pytest.mark.parametrize("panels,nodes", [(1, 1), (3, 7), (5, 5)])
+    def test_a_node_at_one_half_runs_horner_in_u_over_v(self, panels, nodes):
+        # At u = v = 1/2 both ratios are 1 and the branches differ only in
+        # the order of the sum.  Up to order 12 every partial sum is an
+        # exact integer, so only a higher order shows which one ran: at
+        # order 20 the two orders give values of opposite sign.
+        j = list(_panel_rule(panels, nodes)[0]).index(0.5)
+        coeffs = form_coeffs(20)
+        by_u_over_v = per_node_form(coeffs, 0.5, 0.5)
+        assert by_u_over_v != per_node_form(coeffs[::-1], 0.5, 0.5)
+        assert _form_at_nodes(20, panels, nodes)[j] == by_u_over_v
+
+
+class TestEstimateBits:
+    """Every in-scope estimate on every GOLDEN_RULES rule keeps its bits.
+
+    golden/quadrature_estimates.jsonl holds one line per check and rule,
+    [check, panels, nodes, hexes], with the float.hex() of each estimate
+    in IN_SCOPE or BETA_SCOPE order.
+    """
+
+    def test_every_estimate_matches_the_golden(self):
+        golden = {}
+        for line in ESTIMATES_GOLDEN.read_text().splitlines():
+            kind, panels, nodes, hexes = json.loads(line)
+            golden[kind, panels, nodes] = hexes
+        actual = estimate_hexes()
+        assert list(golden) == list(actual)
+        for key, hexes in actual.items():
+            pairs = IN_SCOPE if key[0] == "verify" else BETA_SCOPE
+            assert len(golden[key]) == len(hexes) == len(pairs), key
+            diff = [(p, want, got) for p, want, got in zip(pairs, golden[key], hexes) if want != got]
+            assert not diff, (key, diff[:3])
 
 
 class TestExpectedIntegralValue:
@@ -394,3 +484,9 @@ class TestBetaQuadratureCheck:
     def test_negative_exponents_rejected(self):
         with pytest.raises(ValueError):
             beta_quadrature_check(-1, 3)
+
+
+if __name__ == "__main__":
+    ESTIMATES_GOLDEN.write_text(
+        "".join(json.dumps([*key, hexes]) + "\n" for key, hexes in estimate_hexes().items())
+    )
