@@ -9,10 +9,8 @@ touches floating point.  The oracle's polynomial arithmetic (a product,
 division by t, synthetic division by 1 + t) lives here, on plain
 integer coefficient lists.
 
-The float estimates themselves are pinned bit for bit by
-golden/quadrature_estimates.jsonl.  Run this file as a script to rewrite
-that golden from the bernlab on the path; ROADMAP item 3 (exact form
-values at the nodes) changes those bits on purpose and regenerates it.
+Run as a script, this file rewrites golden/quadrature_estimates.jsonl
+(see TestEstimateBits) from the bernlab on the path.
 """
 
 import dataclasses
@@ -320,7 +318,6 @@ class TestIntegrand:
                     error = abs(Fraction(value) - exact)
                     assert error <= 4 * eps * scale, (n, panels, nodes, u, value)
 
-
     @pytest.mark.parametrize("panels,nodes", GOLDEN_RULES)
     def test_bits_match_a_per_node_evaluation(self, panels, nodes):
         us, _ = _panel_rule(panels, nodes)
@@ -347,7 +344,9 @@ class TestEstimateBits:
 
     golden/quadrature_estimates.jsonl holds one line per check and rule,
     [check, panels, nodes, hexes], with the float.hex() of each estimate
-    in IN_SCOPE or BETA_SCOPE order.
+    in IN_SCOPE or BETA_SCOPE order.  ROADMAP item 3 (exact form values
+    at the nodes) changes these bits on purpose and regenerates the file
+    by running this module as a script.
     """
 
     def test_every_estimate_matches_the_golden(self):
