@@ -11,9 +11,11 @@ Li_{-n}(-t):
   which is NOT Li_0(-t) = -t/(1+t); the two differ by exactly the
   constant 1.  That mismatch is part of the contract and is pinned by
   tests rather than patched over here.
-* ``polylog_oracle(n)`` -- Li_{-n}(x) in the variable x, built only from
-  the derivative recurrence.  It shares no code path with the Stirling
-  sum and serves as the independent cross-check.
+* ``polylog_oracle(n)`` -- Li_{-n}(x) in the variable x: its numerator
+  comes from the derivative recurrence, and its fixed denominator
+  (1-x)^(n+1) is written in closed form by a running binomial product.
+  It shares no code path with the Stirling sum and serves as the
+  independent cross-check.
 
 ``polylog_neg_rf(n)`` is the "true" Li_{-n}(-t) for every n >= 0: the
 Stirling form for n >= 1, and -t/(1+t) at n = 0.
@@ -136,7 +138,12 @@ class RationalFunction:
 
 
 # Runs of at most this many coefficients are evaluated by one Horner
-# pass; longer ones are halved.  At 32, orders up to 30 never split.
+# pass; longer ones are halved.  At 32, orders up to 30 never split, so
+# no benchmark workload leaves the leaf.  The split stays for large
+# orders at the --at cap (cli.MAX_AT_DIGITS), evaluated in process on
+# Python 3.11.7: `polylog 1000 --at 999999999/77777777` takes 11-14 ms
+# split against 130-139 ms as one Horner pass, and order 300 at a
+# 33-digit t 4-8 ms against 14-24 ms.
 _LEAF = 32
 
 
@@ -230,7 +237,10 @@ def polylog_stirling_form(n: int) -> RationalFunction:
     return RationalFunction(Polynomial(num), _one_plus_t_power(n + 1))
 
 
-@lru_cache(maxsize=None)
+# Bounded: an order-1000 function holds 1.1 MiB of coefficients, so 32
+# orders stay under about 35 MiB at cli.MAX_SIZE.  A benchmark workload
+# asks for at most 23 orders, so none of them is evicted.
+@lru_cache(maxsize=32)
 def polylog_neg_rf(n: int) -> RationalFunction:
     """The true Li_{-n}(-t) as a rational function of t in lowest terms, n >= 0."""
     if n == 0:
@@ -239,11 +249,11 @@ def polylog_neg_rf(n: int) -> RationalFunction:
     return polylog_stirling_form(n)
 
 
-# The order polylog_oracle built last and its function: the loop starts
+# The order polylog_oracle built last and its numerator: the loop starts
 # from there whenever it can, so orders asked for one at a time cost one
 # step of the recurrence each.  Any start gives the same result; the
 # pair is read once per call, so a concurrent caller only moves it.
-_ORACLE_BASE = (0, RationalFunction(Polynomial([0, 1]), Polynomial([1, -1])))
+_ORACLE_BASE = (0, (0, 1))
 _oracle_front = _ORACLE_BASE
 
 
@@ -254,8 +264,8 @@ def polylog_oracle(n: int) -> RationalFunction:
 
     With Li_{-(n-1)} = P/(1-x)^n the quotient rule gives
     Li_{-n} = x*[(1-x)*P' + n*P] / (1-x)^(n+1), so the recurrence runs
-    on numerators alone and each step multiplies the denominator by
-    (1-x).  It runs as a loop from the order built last (or from
+    on numerators alone and the denominator (1-x)^(n+1) is written once
+    at the end.  It runs as a loop from the order built last (or from
     order 0), so no order is too deep for the interpreter's stack.
     Shares no code with the Stirling-sum construction; comparing the
     two (after substituting x = -t) is the module's central cross-check.
@@ -264,15 +274,15 @@ def polylog_oracle(n: int) -> RationalFunction:
     if n < 0:
         raise ValueError(f"polylog order must be non-negative, got {n}")
     front = _oracle_front
-    k, f = front if front[0] <= n else _ORACLE_BASE
-    p, q = list(f.numerator.coeffs), list(f.denominator.coeffs)
+    k, p = front if front[0] <= n else _ORACLE_BASE
+    p = list(p)
     for j in range(k + 1, n + 1):
         p.append(0)
-        q.append(0)
-        # x^i collects i*p_i from x*P' and (j-i+1)*p_{i-1} from -x^2*P' + j*x*P;
-        # the new denominator's x^i coefficient is q_i - q_{i-1}.
+        # x^i collects i*p_i from x*P' and (j-i+1)*p_{i-1} from -x^2*P' + j*x*P
         p = [i * p[i] + (j - i + 1) * p[i - 1] if i else 0 for i in range(len(p))]
-        q = [q[i] - q[i - 1] if i else q[0] for i in range(len(q))]
-    f = RationalFunction(Polynomial(p), Polynomial(q))
-    _oracle_front = (n, f)
-    return f
+    _oracle_front = (n, tuple(p))
+    # (1-x)^(n+1): the x^(i+1) coefficient is -(n+1-i)/(i+1) times the x^i one
+    q = [1]
+    for i in range(n + 1):
+        q.append(q[i] * (i - n - 1) // (i + 1))
+    return RationalFunction(Polynomial(p), Polynomial(q))

@@ -6,6 +6,7 @@ import threading
 from fractions import Fraction
 from math import comb, factorial
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -77,7 +78,6 @@ class TestRecurrence:
             assert fresh.value(n) == bernoulli_recurrence(n)
 
     def test_uneven_growth_matches_mpmath(self):
-        mpmath = pytest.importorskip("mpmath")
         table = BernoulliTable()
         # uneven steps, so growth resumes from the held Seidel row
         # between calls as well as stepping within them
@@ -90,7 +90,6 @@ class TestRecurrence:
     def test_every_value_to_max_size_matches_mpmath(self):
         # odd indices >= 3 are stored by parity, even ones from the zigzag
         # numbers; B_0 and B_1 are seeded
-        mpmath = pytest.importorskip("mpmath")
         table = BernoulliTable()
         table.extend_to(MAX_SIZE)
         for n in range(MAX_SIZE + 1):
@@ -180,7 +179,6 @@ class TestStirlingSum:
             assert bernoulli_stirling_sum(n) == bernoulli_recurrence(n), n
 
     def test_every_value_to_400_matches_mpmath(self):
-        mpmath = pytest.importorskip("mpmath")
         for n in range(401):
             assert bernoulli_stirling_sum(n) == Fraction(*mpmath.bernfrac(n)), n
 

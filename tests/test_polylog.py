@@ -21,6 +21,8 @@ from pathlib import Path
 import pytest
 
 import bernlab.polylog
+from bernlab import combinatorics
+from bernlab.bernoulli import bernoulli_recurrence
 from bernlab.polylog import (
     Polynomial,
     RationalFunction,
@@ -175,6 +177,12 @@ class TestPolylogNegRf:
         assert polylog_neg_rf(7) is polylog_neg_rf(7)
         assert polylog_neg_rf(0) is polylog_neg_rf(0)
 
+    def test_cache_is_bounded(self):
+        assert polylog_neg_rf.cache_info().maxsize is not None
+        for n in range(40):
+            polylog_neg_rf(n)
+        assert polylog_neg_rf(0) == RationalFunction(Polynomial([0, -1]), ONE_PLUS_T)
+
 
 class TestOracle:
     def test_negative_order_rejected(self):
@@ -212,6 +220,29 @@ class TestOracle:
         # true Li_{-n}(-t) at every order, 0 included.
         for n in (30, 5, 6, 31, 0, 12, 12, 40, 1):
             assert polylog_oracle(n).negate_variable() == polylog_neg_rf(n), n
+
+    def test_shares_no_code_with_the_stirling_form(self, monkeypatch):
+        orders = (0, 1, 7, 40, 120)
+        expected = [polylog_neg_rf(n) for n in orders]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle reached the Stirling construction")
+
+        monkeypatch.setattr(bernlab.polylog, "stirling2_row", forbidden)
+        monkeypatch.setattr(combinatorics.StirlingTriangle, "extend_to", forbidden)
+        monkeypatch.setattr(bernlab.polylog, "_one_plus_t_power", forbidden)
+        monkeypatch.setattr(bernlab.polylog, "comb", forbidden)
+        monkeypatch.setattr(bernlab.polylog, "_oracle_front", bernlab.polylog._ORACLE_BASE)
+        for n, f in zip(orders, expected):
+            assert polylog_oracle(n).negate_variable() == f, n
+
+    def test_both_constructions_meet_the_bernoulli_numbers(self):
+        # Li_{-n}(-1) = (1 - 2^(n+1)) B+_(n+1) / (n+1) with B+_N = (-1)^N B_N;
+        # with B_1 = -1/2 in its place the identity fails at n = 0 only.
+        for n in range(201):
+            expected = (1 - 2 ** (n + 1)) * (-1) ** (n + 1) * bernoulli_recurrence(n + 1)
+            assert (n + 1) * rf_eval_exact(polylog_oracle(n), -1) == expected, n
+            assert (n + 1) * rf_eval_exact(polylog_neg_rf(n), 1) == expected, n
 
     def test_cold_order_1000_in_a_fresh_process(self):
         # A recursive oracle ran out of stack near order 500.
