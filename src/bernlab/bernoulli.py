@@ -17,7 +17,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
+from math import gcd
 
 from .combinatorics import stirling2_row
 
@@ -85,6 +85,39 @@ class BernoulliTable:
 _SHARED_TABLE = BernoulliTable()
 
 
+class _FactorialMemo:
+    """k!, (k!)^2 and lcm(1, ..., k) for 0 <= k <= max_k, in three lists
+    indexed by k, for the two Stirling-sum strategies and nothing else.
+
+    Growth to k costs one small multiply, one squaring and one gcd per
+    new index.  As in BernoulliTable, extension happens under a lock and
+    only appends, so a stored entry never changes and a caller that has
+    extended to k may read entries up to k from any thread.
+    """
+
+    def __init__(self):
+        self.factorials = [1]
+        self.squares = [1]
+        self.lcms = [1]  # lcm of the empty range
+        self._lock = threading.Lock()
+
+    @property
+    def max_k(self) -> int:
+        return len(self.lcms) - 1
+
+    def extend_to(self, k: int) -> None:
+        with self._lock:
+            for i in range(len(self.lcms), k + 1):
+                f = self.factorials[-1] * i
+                self.factorials.append(f)
+                self.squares.append(f * f)
+                l = self.lcms[-1]
+                self.lcms.append(l * (i // gcd(l, i)))
+
+
+_FACTORIALS = _FactorialMemo()
+
+
 def bernoulli_recurrence(n: int) -> Fraction:
     """Exact B_n from the shared zigzag table."""
     return _SHARED_TABLE.value(n)
@@ -103,11 +136,15 @@ def bernoulli_stirling_sum(n: int) -> Fraction:
 
     and the k = 0 term is added last, so no k! is carried: each step
     costs one multiply S(n, k) * (L / (k+1)) and one big-by-small
-    multiply.  One Fraction is built at the end.
+    multiply.  One Fraction is built at the end.  L comes from a memo of
+    lcm(1, ..., k) grown once per process, shared with bernoulli_split's
+    factorials.
     """
     if n < 0:
         raise ValueError(f"Bernoulli index must be non-negative, got {n}")
-    den = lcm(*range(1, n + 2))
+    memo = _FACTORIALS
+    memo.extend_to(n + 1)
+    den = memo.lcms[n + 1]
     row = stirling2_row(n)
     h = 0
     for k in range(n, 0, -1):
@@ -142,16 +179,19 @@ def bernoulli_split(m: int, n: int) -> Fraction:
     each k costs one big-by-big multiply, a_k * T_k.  The double sum is
     symmetric under swapping m and n, so m > n is swapped first: the
     inner Horner then runs over the shorter row and T_k stays small.
+
+    The squares (k!)^2 and (m+n+1)! come from a memo grown once per
+    process, shared with bernoulli_stirling_sum's lcm.
     """
     if m < 0 or n < 0:
         raise ValueError(f"split indices must be non-negative, got ({m}, {n})")
     if m > n:
         m, n = n, m
-    fact = [1] * (m + n + 2)
-    for i in range(1, m + n + 2):
-        fact[i] = fact[i - 1] * i
-    a = [(-1) ** k * fact[k] * fact[k] * s for k, s in enumerate(stirling2_row(n))]
-    b = [(-1) ** l * fact[l] * fact[l] * s for l, s in enumerate(stirling2_row(m))]
+    memo = _FACTORIALS
+    memo.extend_to(m + n + 1)
+    squares = memo.squares
+    a = [-q * s if k & 1 else q * s for k, (q, s) in enumerate(zip(squares, stirling2_row(n)))]
+    b = [-q * s if l & 1 else q * s for l, (q, s) in enumerate(zip(squares, stirling2_row(m)))]
     acc = 0
     for k, ak in enumerate(a):
         acc *= k + m + 1
@@ -160,7 +200,7 @@ def bernoulli_split(m: int, n: int) -> Fraction:
             for i, bl in zip(range(k + 1, k + m + 2), b):
                 t = t * i + bl
             acc += ak * t
-    return Fraction(acc, fact[m + n + 1])
+    return Fraction(acc, memo.factorials[m + n + 1])
 
 
 def zeta_nonpositive(s: int) -> Fraction:

@@ -33,8 +33,9 @@ import time
 # libcrypto, which adds about 3.5 MB to every process's peak RSS.
 from _blake2 import blake2b
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, TextIO
 
+from . import bernoulli
 from .bernoulli import (
     BernoulliTable,
     bernoulli_recurrence,
@@ -110,11 +111,13 @@ MAX_BENCH_SUM = 60
 MAX_PANELS = 1024
 MAX_NODES = 256
 # Longest b-file oeis-check reads, in characters; a longer one (or an
-# endless one, such as /dev/zero) is refused before it is parsed.  A
+# endless one, such as /dev/zero) is refused once the cap is passed.  A
 # numerator file of every index whose numerator fits the interpreter's
 # default 4300-digit int-str limit (0..2063) takes 2.0 MB and its
 # denominator file 18 KB, so the cap admits all of it with room to spare
-# while bounding what one request holds in memory.
+# while bounding the time one request spends reading.  Files are read in
+# blocks and only entries up to --max are kept, so two files at the cap
+# with one short line per index peak near the import baseline.
 MAX_BFILE_CHARS = 8 * 2**20
 
 
@@ -132,13 +135,15 @@ def _shown(text: str) -> str:
 # b-files (OEIS-style "index value" lines)
 
 
-def parse_bfile(text: str) -> dict[int, int]:
-    """Parse b-file text into {index: value}: one 'index value' pair per
-    line, '#' comments and blank lines ignored, indices strictly increasing.
-    A malformed line raises ValueError, its message starting 'line N: '."""
+def _bfile_entries(lines: Iterable[str], max_index: Optional[int] = None) -> dict[int, int]:
+    """{index: value} from b-file lines, keeping indices up to max_index
+    (all when None): one 'index value' pair per line, '#' comments and
+    blank lines ignored, indices strictly increasing.  Every line is
+    parsed; a malformed one raises ValueError, its message starting
+    'line N: '."""
     entries: dict[int, int] = {}
     last: Optional[int] = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -155,17 +160,58 @@ def parse_bfile(text: str) -> dict[int, int]:
                 f"line {lineno}: indices must be strictly increasing, got {index} after {last}"
             )
         last = index
-        entries[index] = value
+        if max_index is None or index <= max_index:
+            entries[index] = value
     return entries
 
 
-def _read_bfile(path: str) -> dict[int, int]:
-    """parse_bfile of the file at path, refused unread past MAX_BFILE_CHARS."""
+def parse_bfile(text: str) -> dict[int, int]:
+    """Parse b-file text into {index: value}: one 'index value' pair per
+    line, '#' comments and blank lines ignored, indices strictly increasing.
+    A malformed line raises ValueError, its message starting 'line N: '."""
+    return _bfile_entries(text.splitlines())
+
+
+# The characters str.splitlines ends a line at.
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _bfile_lines(f: TextIO, path: str) -> Iterator[str]:
+    """The lines str.splitlines gives for the text of f, read in blocks of
+    2**16 characters; ValueError once more than MAX_BFILE_CHARS are read."""
+    budget = MAX_BFILE_CHARS
+    tail: list[str] = []  # the pieces of a line that runs on past its block
+    while block := f.read(min(budget + 1, 2**16)):
+        budget -= len(block)
+        if budget < 0:
+            raise ValueError(f"b-file {_shown(path)} is over the cap of {MAX_BFILE_CHARS} characters")
+        lines = block.splitlines()
+        last = None if block[-1] in _LINE_BREAKS else lines.pop()
+        if lines and tail:
+            lines[0] = "".join(tail) + lines[0]
+            tail = []
+        yield from lines
+        if last is not None:
+            tail.append(last)
+    if tail:
+        yield "".join(tail)
+
+
+def _read_bfile(path: str, max_index: int) -> dict[int, int]:
+    """The entries of the b-file at path with index <= max_index.
+
+    The whole file is parsed, one block at a time, but only those entries
+    are kept.  A fault of the whole file, a length over the cap or bytes
+    that do not decode, is reported ahead of a malformed line before it.
+    """
     with open(path) as f:
-        text = f.read(MAX_BFILE_CHARS + 1)
-    if len(text) > MAX_BFILE_CHARS:
-        raise ValueError(f"b-file {_shown(path)} is over the cap of {MAX_BFILE_CHARS} characters")
-    return parse_bfile(text)
+        lines = _bfile_lines(f, path)
+        try:
+            return _bfile_entries(lines, max_index)
+        except ValueError:
+            for _ in lines:
+                pass
+            raise
 
 
 def oeis_check(
@@ -223,8 +269,8 @@ def bench_run(
 
     The recurrence is timed cold (a fresh table per run); the two
     Stirling-sum strategies are timed with the shared Stirling triangle
-    pre-warmed, so they measure summation arithmetic rather than table
-    growth.  Any disagreement between a timed result and the recurrence
+    and their factorial memo pre-warmed, so they measure summation
+    arithmetic rather than table growth.  Any disagreement between a timed result and the recurrence
     reference aborts with BenchMismatchError.
     """
     if max_sum < 0:
@@ -235,7 +281,9 @@ def bench_run(
         raise ValueError(f"repeats must be positive, got {repeats}")
     if split_fn is None:
         split_fn = bernoulli_split
-    stirling2_row(max_sum)  # warm the shared triangle once, outside the clocks
+    # Warm the shared triangle and factorial memo once, outside the clocks.
+    stirling2_row(max_sum)
+    bernoulli._FACTORIALS.extend_to(max_sum + 1)
     rows = []
     for n in range(max_sum + 1):
         reference = bernoulli_recurrence(n)
@@ -437,8 +485,8 @@ def _cmd_beta_check(args: argparse.Namespace) -> Output:
 
 def _cmd_oeis_check(args: argparse.Namespace) -> Output:
     _check_size("--max", args.max, MAX_OEIS_CHECK)
-    numerators = _read_bfile(args.numerators)
-    denominators = _read_bfile(args.denominators)
+    numerators = _read_bfile(args.numerators, args.max)
+    denominators = _read_bfile(args.denominators, args.max)
     rows = oeis_check(numerators, denominators, args.max)
     passed = sum(r["ok"] for r in rows)
     all_ok = passed == len(rows)

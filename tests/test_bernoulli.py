@@ -1,10 +1,11 @@
 """The three Bernoulli strategies and zeta at non-positive integers."""
 
 import inspect
+import random
 import sys
 import threading
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import mpmath
 import pytest
@@ -185,6 +186,91 @@ class TestStirlingSum:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             bernoulli_stirling_sum(-2)
+
+
+class TestFactorialMemo:
+    """bernoulli._FACTORIALS, the memo of k!, (k!)^2 and lcm(1..k) that the
+    two Stirling-sum strategies read."""
+
+    def test_entries_match_math_in_shuffled_steps(self):
+        memo = bernoulli._FactorialMemo()
+        assert (memo.max_k, memo.factorials, memo.squares, memo.lcms) == (0, [1], [1], [1])
+        tops = [0, 1, 2, 3, 10, 64, 65, 250, 251, 400, 999, 1001]
+        random.Random(24).shuffle(tops)
+        for top in tops:  # steps down leave the memo as it is
+            memo.extend_to(top)
+        assert memo.max_k == 1001
+        fact = 1
+        for k in range(1002):
+            fact *= k or 1
+            assert fact == factorial(k)
+            assert (memo.factorials[k], memo.squares[k], memo.lcms[k]) == (
+                fact, fact * fact, lcm(*range(1, k + 1))), k
+        assert len(memo.factorials) == len(memo.squares) == len(memo.lcms) == 1002
+
+    @pytest.fixture(params=[0, 5, 250, 1001], ids=lambda top: f"memo-at-{top}")
+    def memo(self, request, monkeypatch):
+        """A fresh memo grown to the given index, in place of the shared one."""
+        memo = bernoulli._FactorialMemo()
+        memo.extend_to(request.param)
+        monkeypatch.setattr(bernoulli, "_FACTORIALS", memo)
+        return memo
+
+    def test_stirling_sum_reads_the_memo(self, memo):
+        start = memo.max_k
+        for n in range(401):
+            assert bernoulli_stirling_sum(n) == bernoulli_recurrence(n), n
+        assert memo.max_k == max(start, 401)
+
+    @pytest.mark.parametrize("m, n", [
+        (0, 0), (0, 400), (1, 121), (121, 1), (7, 130), (40, 200), (300, 1), (125, 125), (250, 250),
+    ])
+    def test_split_reads_the_memo(self, memo, m, n):
+        start = memo.max_k
+        assert bernoulli_split(m, n) == bernoulli_recurrence(m + n)
+        assert memo.max_k == max(start, m + n + 1)
+
+    def test_concurrent_extension_matches_one_call(self):
+        shared = bernoulli._FactorialMemo()
+        targets = (50, 300, 700, 1001)
+        barrier = threading.Barrier(len(targets))
+        errors = []
+
+        def grow(top):
+            try:
+                barrier.wait(timeout=10)
+                shared.extend_to(top)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=grow, args=(top,)) for top in targets]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        reference = bernoulli._FactorialMemo()
+        reference.extend_to(1001)
+        assert shared.max_k == 1001
+        assert shared.factorials == reference.factorials
+        assert shared.squares == reference.squares
+        assert shared.lcms == reference.lcms
+
+    def test_the_table_does_not_read_the_memo(self, monkeypatch):
+        def refuse(self, k):
+            raise AssertionError("the table must not read the factorial memo")
+
+        monkeypatch.setattr(bernoulli._FactorialMemo, "extend_to", refuse)
+        with pytest.raises(AssertionError):
+            bernoulli_stirling_sum(3)  # the guard bites
+        assert BernoulliTable().value(1000) == bernoulli_recurrence(1000)
+        assert zeta_nonpositive(-999) == -bernoulli_recurrence(1000) / 1000
 
 
 def literal_split(m, n):

@@ -11,6 +11,7 @@ import csv
 import hashlib
 import io
 import json
+import locale
 import os
 import re
 import subprocess
@@ -22,7 +23,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bernlab import cli, quadrature
+from bernlab import bernoulli, cli, quadrature
 from bernlab.bernoulli import bernoulli_recurrence
 from bernlab.polylog import polylog_neg_rf, rf_eval_exact
 from bernlab.cli import (
@@ -237,6 +238,21 @@ class TestBenchRun:
         with pytest.raises(BenchMismatchError) as excinfo:
             bench_run(2, repeats=1)
         assert str(excinfo.value) == "method 'recurrence' disagrees at n=0: 7 != 1"
+
+    def test_factorial_memo_is_warm_before_the_clocks(self, monkeypatch):
+        # The Stirling-sum cells measure summation, not memo growth; the
+        # stirling-sum cell at n = 0 alone would grow a fresh memo to 1.
+        memo = bernoulli._FactorialMemo()
+        monkeypatch.setattr(bernoulli, "_FACTORIALS", memo)
+        covered = []
+
+        def split_fn(m, k):
+            if not covered:
+                covered.append(memo.max_k)
+            return cli.bernoulli_split(m, k)
+
+        bench_run(6, repeats=1, split_fn=split_fn)
+        assert covered == [7]
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
@@ -1028,6 +1044,89 @@ class TestOeisCheckCommand:
         )
 
 
+    def test_lines_are_numbered_as_str_splitlines_numbers_them(self, capsys, tmp_path):
+        # \f, \x1c, \x85, \u2028 and \v end a line for str.splitlines but
+        # not for file iteration.  The file is read in blocks of 2**16
+        # characters: one line runs across a block edge, and a \f ends
+        # the second block.  Both keep parse_bfile's count for the text
+        # read whole, here and in the error message.
+        block = 2**16
+        text = "0 1\n1" + " " * (block + 100) + "1\n"
+        text += "#" + "x" * (2 * block - 2 - len(text)) + "\x0c"
+        assert len(text) == 2 * block
+        text += "2 1\x1c3 1\x854 1\u20285 1\v6 1\r7 1\r\n8 1\n"
+        path = tmp_path / "nums.txt"
+        path.write_text(text, newline="")
+        whole = parse_bfile(path.read_text())
+        assert list(whole) == list(range(9))
+        assert cli._read_bfile(str(path), 10**9) == whole
+        assert cli._read_bfile(str(path), 4) == {k: v for k, v in whole.items() if k <= 4}
+        lineno = len(path.read_text().splitlines()) + 1
+        assert lineno == 11  # file iteration would make it 6
+        path.write_text(text + "9 x\n", newline="")
+        code, out, err = run_capture(
+            capsys, "oeis-check", "--numerators", str(path),
+            "--denominators", DENOMINATORS, "--max", "1",
+        )
+        assert (code, out, err) == (2, "", f"error: line {lineno}: non-integer token in '9 x'\n")
+
+    def test_the_cap_outranks_a_malformed_line(self, capsys, tmp_path, monkeypatch):
+        # a fault of the whole file is reported ahead of a malformed line
+        monkeypatch.setattr(cli, "MAX_BFILE_CHARS", 100)
+        monkeypatch.chdir(tmp_path)
+        Path("nums.txt").write_text("0 1\n1 one half\n" + "# padding\n" * 20)
+        code, out, err = run_capture(
+            capsys, "oeis-check", "--numerators", "nums.txt",
+            "--denominators", DENOMINATORS, "--max", "1",
+        )
+        assert (code, out, err) == (2, "", "error: b-file 'nums.txt' is over the cap of 100 characters\n")
+
+    @pytest.mark.skipif(
+        locale.getpreferredencoding(False).lower().replace("-", "") != "utf8",
+        reason="needs a UTF-8 locale, where 0xff cannot be decoded",
+    )
+    def test_an_undecodable_byte_outranks_a_malformed_line(self, capsys, tmp_path):
+        bad = tmp_path / "nums.txt"
+        bad.write_bytes(b"0 1\n1 one half\n" + b"2 3\n" * 20000 + b"\xff\n")
+        code, out, err = run_capture(
+            capsys, "oeis-check", "--numerators", str(bad),
+            "--denominators", DENOMINATORS, "--max", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: 'utf-8' codec can't decode byte 0xff in position ")
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB is Linux's")
+    def test_near_cap_files_keep_only_the_checked_entries(self, tmp_path):
+        # Two files just under the cap with one short line per index: all
+        # their entries and lines held at once take about 271 MB, while the
+        # interpreter and bernlab alone take about 17 MB.
+        path = tmp_path / "ones.txt"
+        with open(path, "w") as f:
+            f.writelines(f"{i} 1\n" for i in range(944413))
+        assert MAX_BFILE_CHARS - 16 < path.stat().st_size <= MAX_BFILE_CHARS
+        # A child's ru_maxrss also counts the resident memory its parent
+        # had at exec, so a small launcher stands between pytest and the
+        # measured process and reads its os.wait4.
+        launcher = (
+            "import os, subprocess, sys\n"
+            "proc = subprocess.Popen(sys.argv[1:])\n"
+            "_, status, usage = os.wait4(proc.pid, 0)\n"
+            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = "import sys; from bernlab.cli import main; sys.argv[0] = 'bernlab'; main()"
+        proc = subprocess.run(
+            [sys.executable, "-c", launcher, sys.executable, "-c", code, "oeis-check",
+             "--numerators", str(path), "--denominators", str(path), "--max", "1"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.stdout.splitlines()[:-1] == ["n=0 PASS", "n=1 FAIL file=1 recurrence=-1/2 split=-1/2",
+                                                 "1/2 PASS"]
+        status, peak_kib = map(int, proc.stdout.splitlines()[-1].split())
+        assert status == 1
+        assert peak_kib < 64 * 1024
+
+
 class TestBenchCommand:
     def test_csv_output(self, capsys):
         code, out, _ = run_capture(capsys, "bench", "--max-sum", "3", "--format", "csv")
@@ -1201,6 +1300,7 @@ class TestCostGuards:
         for name in (
             "bernoulli_recurrence", "bernoulli_split", "bernoulli_stirling_sum",
             "stirling2", "stirling2_row", "polylog_neg_rf", "rf_eval_exact", "parse_bfile",
+            "_bfile_entries",
         ):
             monkeypatch.setattr(cli, name, refuse)
         for name in ("gauss_legendre", "_panel_rule", "_form_at_nodes"):
