@@ -178,7 +178,9 @@ _LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 def _bfile_lines(f: TextIO, path: str) -> Iterator[str]:
     """The lines str.splitlines gives for the text of f, read in blocks of
-    2**16 characters; ValueError once more than MAX_BFILE_CHARS are read."""
+    2**16 characters; ValueError once more than MAX_BFILE_CHARS are read.
+    f translates newlines, as open's text mode does by default, so no
+    block edge falls inside a \r\n pair."""
     budget = MAX_BFILE_CHARS
     tail: list[str] = []  # the pieces of a line that runs on past its block
     while block := f.read(min(budget + 1, 2**16)):
@@ -270,8 +272,9 @@ def bench_run(
     The recurrence is timed cold (a fresh table per run); the two
     Stirling-sum strategies are timed with the shared Stirling triangle
     and their factorial memo pre-warmed, so they measure summation
-    arithmetic rather than table growth.  Any disagreement between a timed result and the recurrence
-    reference aborts with BenchMismatchError.
+    arithmetic rather than table growth.  Any disagreement between a
+    timed result and the recurrence reference aborts with
+    BenchMismatchError.
     """
     if max_sum < 0:
         raise ValueError(f"max_sum must be non-negative, got {max_sum}")
