@@ -35,14 +35,13 @@ from _blake2 import blake2b
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, TextIO
 
-from . import bernoulli
 from .bernoulli import (
     BernoulliTable,
     bernoulli_recurrence,
     bernoulli_split,
     bernoulli_stirling_sum,
 )
-from .combinatorics import stirling2, stirling2_row
+from .combinatorics import stirling2
 from .polylog import polylog_neg_rf, rf_eval_exact
 from .quadrature import (
     DEFAULT_NODES,
@@ -172,13 +171,11 @@ def parse_bfile(text: str) -> dict[int, int]:
     return _bfile_entries(text.splitlines())
 
 
-# The characters str.splitlines ends a line at.
-_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-
-
 def _bfile_lines(f: TextIO, path: str) -> Iterator[str]:
     """The lines str.splitlines gives for the text of f, read in blocks of
     2**16 characters; ValueError once more than MAX_BFILE_CHARS are read.
+    A block is split with a sentinel "x" appended, so its last piece less
+    the "x" is the unfinished line, empty when the block ended a line.
     f translates newlines, as open's text mode does by default, so no
     block edge falls inside a \r\n pair."""
     budget = MAX_BFILE_CHARS
@@ -187,15 +184,14 @@ def _bfile_lines(f: TextIO, path: str) -> Iterator[str]:
         budget -= len(block)
         if budget < 0:
             raise ValueError(f"b-file {_shown(path)} is over the cap of {MAX_BFILE_CHARS} characters")
-        lines = block.splitlines()
-        last = None if block[-1] in _LINE_BREAKS else lines.pop()
+        lines = (block + "x").splitlines()
+        last = lines.pop()[:-1]
         if lines and tail:
             lines[0] = "".join(tail) + lines[0]
             tail = []
         yield from lines
-        if last is not None:
-            tail.append(last)
-    if tail:
+        tail.append(last)
+    if any(tail):
         yield "".join(tail)
 
 
@@ -269,12 +265,12 @@ def bench_run(
     bench: a dict with keys method, n, split_m (None for the two
     whole-number methods), seconds and result_hash.
 
-    The recurrence is timed cold (a fresh table per run); the two
-    Stirling-sum strategies are timed with the shared Stirling triangle
-    and their factorial memo pre-warmed, so they measure summation
-    arithmetic rather than table growth.  Any disagreement between a
-    timed result and the recurrence reference aborts with
-    BenchMismatchError.
+    The recurrence is timed cold (a fresh table per run); one untimed
+    bernoulli_stirling_sum(max_sum) first grows the shared Stirling
+    triangle and factorial memo as far as any cell reads them, so the
+    two Stirling-sum strategies measure summation arithmetic rather than
+    table growth.  Any disagreement between a timed result and the
+    recurrence reference aborts with BenchMismatchError.
     """
     if max_sum < 0:
         raise ValueError(f"max_sum must be non-negative, got {max_sum}")
@@ -284,9 +280,7 @@ def bench_run(
         raise ValueError(f"repeats must be positive, got {repeats}")
     if split_fn is None:
         split_fn = bernoulli_split
-    # Warm the shared triangle and factorial memo once, outside the clocks.
-    stirling2_row(max_sum)
-    bernoulli._FACTORIALS.extend_to(max_sum + 1)
+    bernoulli_stirling_sum(max_sum)  # the warm-up, outside the clocks
     rows = []
     for n in range(max_sum + 1):
         reference = bernoulli_recurrence(n)
@@ -453,8 +447,9 @@ def _cmd_polylog(args: argparse.Namespace) -> Output:
     _check_size("n", args.n)
     if args.at is not None:
         t = args.at
-        size = (args.n + 1) * max(_decimal_digits(t.numerator), _decimal_digits(t.denominator))
-        _check_size("(n + 1) * digits of --at", size, MAX_AT_DIGITS)
+        digits = max(_decimal_digits(t.numerator), _decimal_digits(t.denominator))
+        _check_size("(n + 1) * digits of --at", (args.n + 1) * digits, MAX_AT_DIGITS)
+        _check_str_digits("the point t", digits)  # an exponent's digits escape _fraction's check
     f = polylog_neg_rf(args.n)
     num, den = f.numerator.render("t"), f.denominator.render("t")
     # The denominator (1+t)^(n+1) is never 1, so this is f.render("t").

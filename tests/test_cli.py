@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bernlab import bernoulli, cli, quadrature
+from bernlab import bernoulli, cli, combinatorics, quadrature
 from bernlab.bernoulli import bernoulli_recurrence
 from bernlab.polylog import polylog_neg_rf, rf_eval_exact
 from bernlab.cli import (
@@ -253,6 +253,21 @@ class TestBenchRun:
 
         bench_run(6, repeats=1, split_fn=split_fn)
         assert covered == [7]
+
+    def test_stirling_triangle_is_warm_before_the_clocks(self, monkeypatch):
+        # The stirling-sum cell at n = 0 alone would grow a fresh triangle
+        # to row 0; the warm-up grows it to the last row any cell reads.
+        triangle = combinatorics.StirlingTriangle()
+        monkeypatch.setattr(combinatorics, "_SHARED", triangle)
+        covered = []
+
+        def split_fn(m, k):
+            if not covered:
+                covered.append(triangle.max_n)
+            return cli.bernoulli_split(m, k)
+
+        bench_run(6, repeats=1, split_fn=split_fn)
+        assert covered == [6]
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
@@ -915,6 +930,20 @@ class TestQuadratureCommands:
         assert f"panels={panels} nodes={nodes}" in out
 
 
+BLOCK = 2**16  # the characters cli._bfile_lines reads at a time
+_ENDS = "\f\x85\u2028"
+# b-file texts whose lines end on or run across the reader's block edges.
+BLOCK_EDGE_TEXTS = {
+    # \r is the file's last character of block 1 and \n its first of block 2
+    "crlf-split-by-an-edge": "0 1\n#" + "x" * (BLOCK - 6) + "\r\n1 1\n",
+    "four-blocks-without-newline": "".join(f"{i} 1" + _ENDS[i % 3] for i in range(30000)),
+    "blocks-end-on-line-breaks": (
+        "0 1\n#" + "x" * (BLOCK - 6) + "\n1 1\n#" + "x" * (BLOCK - 6) + "\x1d2 1\n"
+    ),
+    "unended-last-line-across-an-edge": "0 1\n1" + " " * BLOCK + "1",
+}
+
+
 class TestOeisCheckCommand:
     def test_shipped_fixtures_pass(self, capsys):
         code, out, _ = run_capture(
@@ -1069,6 +1098,23 @@ class TestOeisCheckCommand:
             "--denominators", DENOMINATORS, "--max", "1",
         )
         assert (code, out, err) == (2, "", f"error: line {lineno}: non-integer token in '9 x'\n")
+
+    @pytest.mark.parametrize("text", BLOCK_EDGE_TEXTS.values(), ids=BLOCK_EDGE_TEXTS.keys())
+    def test_block_edges_keep_the_lines_of_str_splitlines(self, capsys, tmp_path, text):
+        path = tmp_path / "nums.txt"
+        path.write_text(text, newline="")
+        whole = path.read_text()  # newlines translated, as the reader reads them
+        with open(path) as f:
+            assert list(cli._bfile_lines(f, str(path))) == whole.splitlines()
+        assert len(parse_bfile(whole)) >= 2
+        assert cli._read_bfile(str(path), 10**9) == parse_bfile(whole)
+        path.write_text(text + "\nx y\n", newline="")
+        lineno = len(path.read_text().splitlines())
+        code, out, err = run_capture(
+            capsys, "oeis-check", "--numerators", str(path),
+            "--denominators", DENOMINATORS, "--max", "1",
+        )
+        assert (code, out, err) == (2, "", f"error: line {lineno}: non-integer token in 'x y'\n")
 
     def test_the_cap_outranks_a_malformed_line(self, capsys, tmp_path, monkeypatch):
         # a fault of the whole file is reported ahead of a malformed line
@@ -1299,7 +1345,7 @@ class TestCostGuards:
 
         for name in (
             "bernoulli_recurrence", "bernoulli_split", "bernoulli_stirling_sum",
-            "stirling2", "stirling2_row", "polylog_neg_rf", "rf_eval_exact", "parse_bfile",
+            "stirling2", "polylog_neg_rf", "rf_eval_exact", "parse_bfile",
             "_bfile_entries",
         ):
             monkeypatch.setattr(cli, name, refuse)
@@ -1344,6 +1390,14 @@ class TestCostGuards:
         code, out, err = run_capture(capsys, "polylog", "0", f"--at={at}")
         assert (code, out) == (2, "")
         assert f"has an exponent beyond the --at cap of {MAX_AT_DIGITS} digits" in err
+
+    @pytest.mark.parametrize("n,at", [("0", "1e4300"), ("1", "1e-4300")])
+    def test_polylog_point_past_the_digit_limit_exits_two(self, capsys, set_str_digit_limit, n, at):
+        # Under the --at cap, but the exponent makes a part of 4301 digits.
+        set_str_digit_limit(4300)
+        assert run_capture(capsys, "polylog", n, "--at", at) == (
+            2, "", "error: the point t has 4301 digits, over the interpreter's int-str limit of 4300\n"
+        )
 
     @pytest.mark.parametrize("max_sum", [MAX_BENCH_SUM + 1, 201])
     def test_bench_sweep_past_the_limit_exits_two(self, capsys, max_sum):
@@ -1445,6 +1499,15 @@ class TestInterpreterDigitLimit:
         code, out, err = run_capture(capsys, "polylog", "100", "--at", "9" * 50)
         assert (code, err) == (0, "")
         assert out.endswith(f"{rf_eval_exact(polylog_neg_rf(100), Fraction('9' * 50))}\n")
+        code, out, err = run_capture(capsys, "polylog", "0", "--at", "1e4300")
+        assert (code, err) == (0, "")
+        assert out.endswith(f"value at t = 1{'0' * 4300}: -1{'0' * 4300}/1{'0' * 4299}1\n")
+
+    def test_point_at_the_limit_prints(self, capsys, set_str_digit_limit):
+        set_str_digit_limit(4300)
+        code, out, err = run_capture(capsys, "polylog", "0", "--at", "1e4299")
+        assert (code, err) == (0, "")
+        assert out.endswith(f"value at t = 1{'0' * 4299}: -1{'0' * 4299}/1{'0' * 4298}1\n")
 
     def test_over_long_at_part_names_the_limit(self, capsys, set_str_digit_limit):
         set_str_digit_limit(4300)
