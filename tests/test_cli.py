@@ -18,6 +18,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -312,6 +313,28 @@ print(codes, "_hashlib" in sys.modules, sorted(loaded - {"bernlab"} - sys.stdlib
             env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{[0] * 9} False []\n", "")
+
+
+def run_measured(*argv):
+    """`bernlab ARGV` in a fresh process; its stdout is followed by one line
+    holding its exit status and its peak RSS in KiB (Linux's ru_maxrss).
+
+    A child's ru_maxrss also counts the resident memory its parent had at
+    exec, so a small launcher stands between pytest and the measured
+    process and reads its os.wait4.
+    """
+    launcher = (
+        "import os, subprocess, sys\n"
+        "proc = subprocess.Popen(sys.argv[1:])\n"
+        "_, status, usage = os.wait4(proc.pid, 0)\n"
+        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys; from bernlab.cli import main; sys.argv[0] = 'bernlab'; main()"
+    return subprocess.run(
+        [sys.executable, "-c", launcher, sys.executable, "-c", code, *argv],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
 
 
 def run_capture(capsys, *argv):
@@ -752,6 +775,18 @@ class TestOtherValueCommands:
         code, out, _ = run_capture(capsys, "stirling", "5", "2", "--format", "csv")
         assert code == 0 and out == "n,k,value\n5,2,15\n"
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB is Linux's")
+    def test_stirling_at_the_size_cap_keeps_the_triangle_small(self):
+        # Keeping every row of the triangle to 1000 peaked at about 212 MB;
+        # keeping one row in 16 above row 300 peaks at about 35 MB.
+        n, k = MAX_SIZE, MAX_SIZE // 2
+        value = sum((-1) ** (k - j) * comb(k, j) * j**n for j in range(k + 1)) // factorial(k)
+        proc = run_measured("stirling", str(n), str(k))
+        *out, last = proc.stdout.splitlines()
+        status, peak_kib = map(int, last.split())
+        assert (out, status, proc.stderr) == ([str(value)], 0, "")
+        assert peak_kib < 96 * 1024
+
     def test_table_plain(self, capsys):
         code, out, _ = run_capture(capsys, "table", "bernoulli", "--max", "4")
         assert code == 0
@@ -1150,22 +1185,7 @@ class TestOeisCheckCommand:
         with open(path, "w") as f:
             f.writelines(f"{i} 1\n" for i in range(944413))
         assert MAX_BFILE_CHARS - 16 < path.stat().st_size <= MAX_BFILE_CHARS
-        # A child's ru_maxrss also counts the resident memory its parent
-        # had at exec, so a small launcher stands between pytest and the
-        # measured process and reads its os.wait4.
-        launcher = (
-            "import os, subprocess, sys\n"
-            "proc = subprocess.Popen(sys.argv[1:])\n"
-            "_, status, usage = os.wait4(proc.pid, 0)\n"
-            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
-        )
-        src = str(Path(cli.__file__).resolve().parents[1])
-        code = "import sys; from bernlab.cli import main; sys.argv[0] = 'bernlab'; main()"
-        proc = subprocess.run(
-            [sys.executable, "-c", launcher, sys.executable, "-c", code, "oeis-check",
-             "--numerators", str(path), "--denominators", str(path), "--max", "1"],
-            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
-        )
+        proc = run_measured("oeis-check", "--numerators", str(path), "--denominators", str(path), "--max", "1")
         assert proc.stdout.splitlines()[:-1] == ["n=0 PASS", "n=1 FAIL file=1 recurrence=-1/2 split=-1/2",
                                                  "1/2 PASS"]
         status, peak_kib = map(int, proc.stdout.splitlines()[-1].split())
@@ -1246,6 +1266,15 @@ class TestEntryPoint:
             main()
         assert exc_info.value.code == 0
         assert capsys.readouterr().out == "-1/30\n"
+
+    @pytest.mark.parametrize("module", ["bernlab", "bernlab.cli"])
+    def test_python_dash_m_runs_the_cli(self, module):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "bernoulli", "10"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "5/66\n", "")
 
     def test_closed_stdout_exits_like_sigpipe(self, tmp_path):
         # The table is several hundred KB, far more than one pipe buffer,
