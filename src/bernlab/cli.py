@@ -70,13 +70,15 @@ __all__ = [
 
 # Largest size argument a subcommand accepts (bernoulli n, stirling n,
 # table --max, polylog n, identity m + n).  At the limit the slowest
-# request is `polylog 1000`, about 0.75-0.9 s as a fresh process (Python
-# 3.11, 2 vCPUs; growing the Stirling triangle takes 0.3 s,
+# request is `polylog 1000`, about 0.65-0.85 s as a fresh process (Python
+# 3.11, 2 vCPUs; growing the Stirling triangle takes about 0.2 s,
 # polylog_neg_rf(1000) 0.3 s, rendering 0.1 s, and the rest is start-up;
-# `--at 7/3` adds a 3-6 ms evaluation), and it peaks at about 220 MB,
-# most of it the Stirling triangle; `identity 500 500` takes about
-# 0.35-0.6 s at 44 MB, `table bernoulli --max 1000` (a cold Bernoulli
-# table to 1000) 0.2-0.25 s and every other Bernoulli route under 0.7 s.
+# `--at 7/3` adds a 3-6 ms evaluation), and it peaks at 45 MB.  The
+# triangle keeps rows 0..300 and one row in 16 above them, 17 MB at row
+# 1000 where every row took 189 MB, so `stirling 1000 500` peaks at 35 MB,
+# `identity 0 1000` at 39 MB and `identity 500 500`, about 0.4-0.65 s,
+# at 28 MB; `table bernoulli --max 1000` (a cold Bernoulli table to 1000)
+# takes 0.2-0.25 s and every other Bernoulli route under 0.7 s.
 MAX_SIZE = 1000
 # Largest exact value `polylog n --at t` computes, measured as (n + 1)
 # times the digit count of t's numerator or denominator, whichever is

@@ -777,8 +777,8 @@ class TestOtherValueCommands:
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB is Linux's")
     def test_stirling_at_the_size_cap_keeps_the_triangle_small(self):
-        # Keeping every row of the triangle to 1000 peaked at about 212 MB;
-        # keeping one row in 16 above row 300 peaks at about 35 MB.
+        # The triangle keeps one row in 16 above row 300, so this request
+        # peaks at about 35 MB; keeping every row to 1000 took 212 MB.
         n, k = MAX_SIZE, MAX_SIZE // 2
         value = sum((-1) ** (k - j) * comb(k, j) * j**n for j in range(k + 1)) // factorial(k)
         proc = run_measured("stirling", str(n), str(k))

@@ -1,6 +1,7 @@
 """Stirling triangle, brute-force partition oracle, and Bell numbers."""
 
 import random
+import sys
 import threading
 
 import pytest
@@ -142,14 +143,20 @@ class TestKeptRows:
         failures = []
 
         def read(rows):
-            start.wait()
+            start.wait(timeout=60)
             failures.extend(n for n in rows if tri.row(n) != reference[n])
 
         threads = [threading.Thread(target=read, args=(rows,)) for rows in samples]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert failures == []
         assert tri.max_n == max(map(max, samples))
 
