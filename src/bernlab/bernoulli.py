@@ -17,7 +17,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd
+from math import factorial, lcm
 
 from .combinatorics import stirling2_row
 
@@ -86,17 +86,16 @@ _SHARED_TABLE = BernoulliTable()
 
 
 class _FactorialMemo:
-    """k!, (k!)^2 and lcm(1, ..., k) for 0 <= k <= max_k, in three lists
-    indexed by k, for the two Stirling-sum strategies and nothing else.
+    """(k!)^2 and lcm(1, ..., k) for 0 <= k <= max_k, in two lists indexed
+    by k, for the two Stirling-sum strategies and nothing else.
 
-    Growth to k costs one small multiply, one squaring and one gcd per
-    new index.  As in BernoulliTable, extension happens under a lock and
-    only appends, so a stored entry never changes and a caller that has
+    Each new index costs one big-by-small multiply and one math.lcm.
+    As in BernoulliTable, extension happens under a lock and only
+    appends, so a stored entry never changes and a caller that has
     extended to k may read entries up to k from any thread.
     """
 
     def __init__(self):
-        self.factorials = [1]
         self.squares = [1]
         self.lcms = [1]  # lcm of the empty range
         self._lock = threading.Lock()
@@ -108,11 +107,8 @@ class _FactorialMemo:
     def extend_to(self, k: int) -> None:
         with self._lock:
             for i in range(len(self.lcms), k + 1):
-                f = self.factorials[-1] * i
-                self.factorials.append(f)
-                self.squares.append(f * f)
-                l = self.lcms[-1]
-                self.lcms.append(l * (i // gcd(l, i)))
+                self.squares.append(self.squares[-1] * (i * i))
+                self.lcms.append(lcm(self.lcms[-1], i))
 
 
 _FACTORIALS = _FactorialMemo()
@@ -138,7 +134,7 @@ def bernoulli_stirling_sum(n: int) -> Fraction:
     costs one multiply S(n, k) * (L / (k+1)) and one big-by-small
     multiply.  One Fraction is built at the end.  L comes from a memo of
     lcm(1, ..., k) grown once per process, shared with bernoulli_split's
-    factorials.
+    squares.
     """
     if n < 0:
         raise ValueError(f"Bernoulli index must be non-negative, got {n}")
@@ -180,15 +176,15 @@ def bernoulli_split(m: int, n: int) -> Fraction:
     symmetric under swapping m and n, so m > n is swapped first: the
     inner Horner then runs over the shorter row and T_k stays small.
 
-    The squares (k!)^2 and (m+n+1)! come from a memo grown once per
-    process, shared with bernoulli_stirling_sum's lcm.
+    The squares (k!)^2 come from a memo shared with bernoulli_stirling_sum
+    and grown to the longer row, and (m+n+1)! from math.factorial.
     """
     if m < 0 or n < 0:
         raise ValueError(f"split indices must be non-negative, got ({m}, {n})")
     if m > n:
         m, n = n, m
     memo = _FACTORIALS
-    memo.extend_to(m + n + 1)
+    memo.extend_to(n)
     squares = memo.squares
     a = [-q * s if k & 1 else q * s for k, (q, s) in enumerate(zip(squares, stirling2_row(n)))]
     b = [-q * s if l & 1 else q * s for l, (q, s) in enumerate(zip(squares, stirling2_row(m)))]
@@ -200,7 +196,7 @@ def bernoulli_split(m: int, n: int) -> Fraction:
             for i, bl in zip(range(k + 1, k + m + 2), b):
                 t = t * i + bl
             acc += ak * t
-    return Fraction(acc, memo.factorials[m + n + 1])
+    return Fraction(acc, factorial(m + n + 1))
 
 
 def zeta_nonpositive(s: int) -> Fraction:

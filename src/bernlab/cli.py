@@ -204,7 +204,7 @@ def _read_bfile(path: str, max_index: int) -> dict[int, int]:
     are kept.  A fault of the whole file, a length over the cap or bytes
     that do not decode, is reported ahead of a malformed line before it.
     """
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         lines = _bfile_lines(f, path)
         try:
             return _bfile_entries(lines, max_index)

@@ -60,14 +60,12 @@ def _next_row(prev: list[int]) -> list[int]:
 class StirlingTriangle:
     """Memoized triangle of S(n, k) values, grown row by row.
 
-    Every row up to _DENSE_ROWS is kept, and above it every _STRIDE-th
-    row and the top one, from which growth continues; at row 1000 that
-    is 17.3 MB instead of 189 MB.  A dropped row is regrown on each read
-    from the kept row below it, by the step that grows the triangle.
-    Rows are appended under an internal lock, so one shared instance can
-    be extended from several threads; a row, once computed, is never
-    mutated (a dropped row's slot is cleared to None), and reads of kept
-    rows are plain list indexing.
+    The rows _kept names stay, and the top one, from which growth
+    continues; any other row is regrown on each read from the nearest
+    stored row below it.  Rows are appended under an internal lock, so
+    one shared instance can be extended from several threads; a row,
+    once computed, is never mutated (a dropped row's slot is cleared to
+    None), and reads of kept rows are plain list indexing.
     """
 
     def __init__(self):
@@ -88,13 +86,12 @@ class StirlingTriangle:
                     rows[-2] = None
 
     def _row(self, n: int) -> list[int]:
-        """Row n, grown already: the kept list itself or a regrown one."""
-        row = self._rows[n]
-        if row is None:
-            base = max(_DENSE_ROWS, n - n % _STRIDE)
-            row = self._rows[base]
-            for _ in range(n - base):
-                row = _next_row(row)
+        """Row n, grown already: the stored list itself or a regrown one."""
+        base = n
+        while (row := self._rows[base]) is None:
+            base -= 1
+        for _ in range(n - base):
+            row = _next_row(row)
         return row
 
     def value(self, n: int, k: int) -> int:

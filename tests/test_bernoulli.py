@@ -2,8 +2,6 @@
 
 import inspect
 import random
-import sys
-import threading
 from fractions import Fraction
 from math import comb, factorial, lcm
 
@@ -11,7 +9,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bernlab import bernoulli, combinatorics
+from bernlab import bernoulli
 from bernlab.bernoulli import (
     BernoulliTable,
     bernoulli_recurrence,
@@ -21,6 +19,7 @@ from bernlab.bernoulli import (
 )
 from bernlab.cli import MAX_SIZE
 from bernlab.combinatorics import stirling2, stirling2_row
+from support import race
 
 # First entries of the sequence under the B_1 = -1/2 convention.
 FIRST_BERNOULLI = [
@@ -119,42 +118,9 @@ class TestRecurrence:
                 assert table.max_n == len(table._row) == top
                 assert table._row[-1] == ZIGZAG[top - 1], top
 
-    def test_independent_of_the_stirling_numbers(self, monkeypatch):
-        def refuse(n):
-            raise AssertionError("the table must not read a Stirling number")
-
-        monkeypatch.setattr(combinatorics, "stirling2_row", refuse)
-        monkeypatch.setattr(bernoulli, "stirling2_row", refuse)
-        table = BernoulliTable()
-        table.extend_to(200)
-        assert table.value(30) == Fraction(8615841276005, 14322)
-        assert table.value(200) == bernoulli_recurrence(200)
-
     def test_concurrent_extension_matches_one_call(self):
         shared = BernoulliTable()
-        targets = (50, 150, 250, 300)
-        barrier = threading.Barrier(len(targets))
-        errors = []
-
-        def grow(top):
-            try:
-                barrier.wait(timeout=10)
-                shared.extend_to(top)
-            except Exception as exc:  # reported by the assertion below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=grow, args=(top,)) for top in targets]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
+        assert race(shared.extend_to, (50, 150, 250, 300)) == []
         reference = BernoulliTable()
         reference.extend_to(300)
         assert shared.max_n == 300
@@ -189,24 +155,20 @@ class TestStirlingSum:
 
 
 class TestFactorialMemo:
-    """bernoulli._FACTORIALS, the memo of k!, (k!)^2 and lcm(1..k) that the
+    """bernoulli._FACTORIALS, the memo of (k!)^2 and lcm(1..k) that the
     two Stirling-sum strategies read."""
 
     def test_entries_match_math_in_shuffled_steps(self):
         memo = bernoulli._FactorialMemo()
-        assert (memo.max_k, memo.factorials, memo.squares, memo.lcms) == (0, [1], [1], [1])
+        assert (memo.max_k, memo.squares, memo.lcms) == (0, [1], [1])
         tops = [0, 1, 2, 3, 10, 64, 65, 250, 251, 400, 999, 1001]
         random.Random(24).shuffle(tops)
         for top in tops:  # steps down leave the memo as it is
             memo.extend_to(top)
         assert memo.max_k == 1001
-        fact = 1
         for k in range(1002):
-            fact *= k or 1
-            assert fact == factorial(k)
-            assert (memo.factorials[k], memo.squares[k], memo.lcms[k]) == (
-                fact, fact * fact, lcm(*range(1, k + 1))), k
-        assert len(memo.factorials) == len(memo.squares) == len(memo.lcms) == 1002
+            assert (memo.squares[k], memo.lcms[k]) == (factorial(k) ** 2, lcm(*range(1, k + 1))), k
+        assert len(memo.squares) == len(memo.lcms) == 1002
 
     @pytest.fixture(params=[0, 5, 250, 1001], ids=lambda top: f"memo-at-{top}")
     def memo(self, request, monkeypatch):
@@ -218,59 +180,26 @@ class TestFactorialMemo:
 
     def test_stirling_sum_reads_the_memo(self, memo):
         start = memo.max_k
-        for n in range(401):
+        for n in (*range(401), 999, 1000):
             assert bernoulli_stirling_sum(n) == bernoulli_recurrence(n), n
-        assert memo.max_k == max(start, 401)
+        assert memo.max_k == max(start, 1001)
 
     @pytest.mark.parametrize("m, n", [
-        (0, 0), (0, 400), (1, 121), (121, 1), (7, 130), (40, 200), (300, 1), (125, 125), (250, 250),
+        (0, 0), (0, 400), (1, 121), (121, 1), (7, 130), (40, 200), (300, 1), (125, 125), (250, 250), (0, 1000),
     ])
     def test_split_reads_the_memo(self, memo, m, n):
         start = memo.max_k
         assert bernoulli_split(m, n) == bernoulli_recurrence(m + n)
-        assert memo.max_k == max(start, m + n + 1)
+        assert memo.max_k == max(start, m, n)
 
     def test_concurrent_extension_matches_one_call(self):
         shared = bernoulli._FactorialMemo()
-        targets = (50, 300, 700, 1001)
-        barrier = threading.Barrier(len(targets))
-        errors = []
-
-        def grow(top):
-            try:
-                barrier.wait(timeout=10)
-                shared.extend_to(top)
-            except Exception as exc:  # reported by the assertion below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=grow, args=(top,)) for top in targets]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
+        assert race(shared.extend_to, (50, 300, 700, 1001)) == []
         reference = bernoulli._FactorialMemo()
         reference.extend_to(1001)
         assert shared.max_k == 1001
-        assert shared.factorials == reference.factorials
         assert shared.squares == reference.squares
         assert shared.lcms == reference.lcms
-
-    def test_the_table_does_not_read_the_memo(self, monkeypatch):
-        def refuse(self, k):
-            raise AssertionError("the table must not read the factorial memo")
-
-        monkeypatch.setattr(bernoulli._FactorialMemo, "extend_to", refuse)
-        with pytest.raises(AssertionError):
-            bernoulli_stirling_sum(3)  # the guard bites
-        assert BernoulliTable().value(1000) == bernoulli_recurrence(1000)
-        assert zeta_nonpositive(-999) == -bernoulli_recurrence(1000) / 1000
 
 
 def literal_split(m, n):

@@ -11,7 +11,6 @@ import csv
 import hashlib
 import io
 import json
-import locale
 import os
 import re
 import subprocess
@@ -42,6 +41,7 @@ from bernlab.cli import (
     parse_bfile,
     run,
 )
+from support import CLI, environment, run_code
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 NUMERATORS = str(DATA_DIR / "bernoulli_numerators.txt")
@@ -291,7 +291,6 @@ class TestStandardLibraryOnly:
         # A fresh process, since the test process has imported hashlib.
         # Modules the interpreter loaded at start-up (site hooks) are not
         # bernlab's, so only those loaded after it are checked.
-        src = str(Path(cli.__file__).resolve().parents[1])
         code = """
 import contextlib, io, sys
 before = set(sys.modules)
@@ -308,10 +307,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
 print(codes, "_hashlib" in sys.modules, sorted(loaded - {"bernlab"} - sys.stdlib_module_names))
 """
-        proc = subprocess.run(
-            [sys.executable, "-c", code, NUMERATORS, DENOMINATORS],
-            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
-        )
+        proc = run_code(code, NUMERATORS, DENOMINATORS)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{[0] * 9} False []\n", "")
 
 
@@ -329,12 +325,7 @@ def run_measured(*argv):
         "_, status, usage = os.wait4(proc.pid, 0)\n"
         "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    code = "import sys; from bernlab.cli import main; sys.argv[0] = 'bernlab'; main()"
-    return subprocess.run(
-        [sys.executable, "-c", launcher, sys.executable, "-c", code, *argv],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
-    )
+    return run_code(launcher, sys.executable, "-c", CLI, *argv, timeout=120)
 
 
 def run_capture(capsys, *argv):
@@ -1096,12 +1087,8 @@ class TestOeisCheckCommand:
 
     @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
     def test_an_endless_file_exits_two_in_a_fresh_process(self):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        code = "import sys; from bernlab.cli import main; sys.argv[0] = 'bernlab'; main()"
-        proc = subprocess.run(
-            [sys.executable, "-c", code, "oeis-check", "--numerators", "/dev/zero",
-             "--denominators", DENOMINATORS, "--max", "1"],
-            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        proc = run_code(
+            CLI, "oeis-check", "--numerators", "/dev/zero", "--denominators", DENOMINATORS, "--max", "1"
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             2, "", f"error: b-file '/dev/zero' is over the cap of {MAX_BFILE_CHARS} characters\n"
@@ -1120,14 +1107,14 @@ class TestOeisCheckCommand:
         assert len(text) == 2 * block
         text += "2 1\x1c3 1\x854 1\u20285 1\v6 1\r7 1\r\n8 1\n"
         path = tmp_path / "nums.txt"
-        path.write_text(text, newline="")
-        whole = parse_bfile(path.read_text())
+        path.write_text(text, encoding="utf-8", newline="")
+        whole = parse_bfile(path.read_text(encoding="utf-8"))
         assert list(whole) == list(range(9))
         assert cli._read_bfile(str(path), 10**9) == whole
         assert cli._read_bfile(str(path), 4) == {k: v for k, v in whole.items() if k <= 4}
-        lineno = len(path.read_text().splitlines()) + 1
+        lineno = len(path.read_text(encoding="utf-8").splitlines()) + 1
         assert lineno == 11  # file iteration would make it 6
-        path.write_text(text + "9 x\n", newline="")
+        path.write_text(text + "9 x\n", encoding="utf-8", newline="")
         code, out, err = run_capture(
             capsys, "oeis-check", "--numerators", str(path),
             "--denominators", DENOMINATORS, "--max", "1",
@@ -1137,14 +1124,14 @@ class TestOeisCheckCommand:
     @pytest.mark.parametrize("text", BLOCK_EDGE_TEXTS.values(), ids=BLOCK_EDGE_TEXTS.keys())
     def test_block_edges_keep_the_lines_of_str_splitlines(self, capsys, tmp_path, text):
         path = tmp_path / "nums.txt"
-        path.write_text(text, newline="")
-        whole = path.read_text()  # newlines translated, as the reader reads them
-        with open(path) as f:
+        path.write_text(text, encoding="utf-8", newline="")
+        whole = path.read_text(encoding="utf-8")  # newlines translated, as the reader reads them
+        with open(path, encoding="utf-8") as f:
             assert list(cli._bfile_lines(f, str(path))) == whole.splitlines()
         assert len(parse_bfile(whole)) >= 2
         assert cli._read_bfile(str(path), 10**9) == parse_bfile(whole)
-        path.write_text(text + "\nx y\n", newline="")
-        lineno = len(path.read_text().splitlines())
+        path.write_text(text + "\nx y\n", encoding="utf-8", newline="")
+        lineno = len(path.read_text(encoding="utf-8").splitlines())
         code, out, err = run_capture(
             capsys, "oeis-check", "--numerators", str(path),
             "--denominators", DENOMINATORS, "--max", "1",
@@ -1162,10 +1149,6 @@ class TestOeisCheckCommand:
         )
         assert (code, out, err) == (2, "", "error: b-file 'nums.txt' is over the cap of 100 characters\n")
 
-    @pytest.mark.skipif(
-        locale.getpreferredencoding(False).lower().replace("-", "") != "utf8",
-        reason="needs a UTF-8 locale, where 0xff cannot be decoded",
-    )
     def test_an_undecodable_byte_outranks_a_malformed_line(self, capsys, tmp_path):
         bad = tmp_path / "nums.txt"
         bad.write_bytes(b"0 1\n1 one half\n" + b"2 3\n" * 20000 + b"\xff\n")
@@ -1269,22 +1252,19 @@ class TestEntryPoint:
 
     @pytest.mark.parametrize("module", ["bernlab", "bernlab.cli"])
     def test_python_dash_m_runs_the_cli(self, module):
-        src = str(Path(cli.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-m", module, "bernoulli", "10"],
-            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+            env=environment(), capture_output=True, text=True, timeout=60,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "5/66\n", "")
 
     def test_closed_stdout_exits_like_sigpipe(self, tmp_path):
         # The table is several hundred KB, far more than one pipe buffer,
         # so bernlab is still writing when the reader goes away.
-        src = str(Path(cli.__file__).resolve().parents[1])
-        code = "import sys; from bernlab.cli import main; sys.argv[0] = 'bernlab'; main()"
         with open(tmp_path / "stderr", "wb") as err:
             proc = subprocess.Popen(
-                [sys.executable, "-c", code, "table", "bernoulli", "--max", "1000"],
-                env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE, stderr=err,
+                [sys.executable, "-c", CLI, "table", "bernoulli", "--max", "1000"],
+                env=environment(), stdout=subprocess.PIPE, stderr=err,
             )
             first = proc.stdout.readline()
             proc.stdout.close()
@@ -1474,14 +1454,8 @@ class TestPolylogValueLimit:
         ("3", "1e5000"), ("1000", "123456789/" + "7" * 3000),
     ], ids=["3-at-1e5000", "1000-at-3000-digit-q"])
     def test_huge_points_exit_two_quickly_in_a_fresh_process(self, n, at):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        code = "import sys; from bernlab.cli import main; sys.argv[0] = 'bernlab'; main()"
-        env = {**os.environ, "PYTHONPATH": src}
         start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-c", code, "polylog", n, "--at", at],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
+        proc = run_code(CLI, "polylog", n, "--at", at)
         elapsed = time.perf_counter() - start
         assert (proc.returncode, proc.stdout) == (2, "")
         assert f"capped at {MAX_AT_DIGITS}" in proc.stderr
@@ -1676,12 +1650,7 @@ class TestSharedParser:
         assert len(calls) == 1
 
     def test_import_builds_no_parser(self):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        code = "import bernlab.cli as c; print(c._parser.cache_info().currsize)"
-        env = {**os.environ, "PYTHONPATH": src}
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-        )
+        proc = run_code("import bernlab.cli as c; print(c._parser.cache_info().currsize)")
         assert (proc.returncode, proc.stdout) == (0, "0\n")
 
     def test_build_parser_returns_a_new_parser(self):

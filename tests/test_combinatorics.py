@@ -1,12 +1,9 @@
 """Stirling triangle, brute-force partition oracle, and Bell numbers."""
 
 import random
-import sys
-import threading
 
 import pytest
 
-from bernlab import combinatorics
 from bernlab.cli import MAX_SIZE
 from bernlab.combinatorics import (
     BRUTE_FORCE_MAX_N,
@@ -16,6 +13,7 @@ from bernlab.combinatorics import (
     stirling2_bruteforce,
     stirling2_row,
 )
+from support import race
 
 
 class TestStirling2:
@@ -122,8 +120,8 @@ class TestKeptRows:
         assert StirlingTriangle().value(455, 200) == reference[455][200]
 
     def test_reading_a_dropped_row_still_grows_through_extend_to(self, monkeypatch):
-        # The independence guards patch extend_to; a row that is regrown
-        # rather than grown must not slip past them.
+        # test_routes.py cuts the triangle off at extend_to; a row that is
+        # regrown rather than grown must not slip past the cut.
         tri = StirlingTriangle()
         tri.extend_to(400)
 
@@ -139,25 +137,11 @@ class TestKeptRows:
     def test_threads_reading_shuffled_rows_of_one_triangle(self, reference):
         tri = StirlingTriangle()
         samples = [random.Random(seed).sample(range(501), 40) for seed in range(4)]
-        start = threading.Barrier(len(samples))
-        failures = []
 
         def read(rows):
-            start.wait(timeout=60)
-            failures.extend(n for n in rows if tri.row(n) != reference[n])
+            assert [n for n in rows if tri.row(n) != reference[n]] == []
 
-        threads = [threading.Thread(target=read, args=(rows,)) for rows in samples]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert failures == []
+        assert race(read, samples, switch_interval=1e-5) == []
         assert tri.max_n == max(map(max, samples))
 
 
@@ -184,19 +168,6 @@ class TestBruteForce:
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             stirling2_bruteforce(-1, 0)
-
-    def test_enumeration_reads_no_stirling_number(self, monkeypatch):
-        # the oracle must count partitions, not replay the triangle
-        row = stirling2_row(9)
-
-        def refuse(*args):
-            raise AssertionError("the enumeration must not read a Stirling number")
-
-        monkeypatch.setattr(combinatorics, "stirling2", refuse)
-        monkeypatch.setattr(combinatorics, "stirling2_row", refuse)
-        monkeypatch.setattr(StirlingTriangle, "extend_to", refuse)
-        combinatorics._block_counts.cache_clear()
-        assert list(combinatorics._block_counts(9)) == row
 
 
 class TestBell:

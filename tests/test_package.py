@@ -1,13 +1,10 @@
 """The package namespace: `bernlab` re-exports each module's `__all__`,
 and nothing else; `bernlab.cli`, which it leaves out, has its own list."""
 
-import os
-import subprocess
-import sys
 from importlib import import_module
-from pathlib import Path
 
 import bernlab
+from support import run_code
 
 # Every public name, in the order of bernlab.__all__, with the module that
 # defines it.
@@ -90,10 +87,5 @@ def test_namespace_holds_nothing_else():
 
 def test_import_leaves_the_cli_unloaded():
     # A fresh process, since other tests import the CLI.
-    src = str(Path(bernlab.__file__).resolve().parents[1])
-    code = "import sys, bernlab; print('bernlab.cli' in sys.modules, hasattr(bernlab, 'cli'))"
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
-    )
+    proc = run_code("import sys, bernlab; print('bernlab.cli' in sys.modules, hasattr(bernlab, 'cli'))")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False False\n", "")

@@ -9,7 +9,7 @@ import pytest
 
 from bernlab import cli
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
 # Examples whose shown output is elided with "...", holds floats or is
 # redirected to a file; they are not compared.
