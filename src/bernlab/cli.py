@@ -60,10 +60,8 @@ __all__ = [
     "MAX_SIZE",
     "MAX_AT_DIGITS",
     "MAX_OEIS_CHECK",
-    "parse_bfile",
     "oeis_check",
     "bench_run",
-    "build_parser",
     "run",
     "main",
 ]
@@ -136,12 +134,11 @@ def _shown(text: str) -> str:
 # b-files (OEIS-style "index value" lines)
 
 
-def _bfile_entries(lines: Iterable[str], max_index: Optional[int] = None) -> dict[int, int]:
-    """{index: value} from b-file lines, keeping indices up to max_index
-    (all when None): one 'index value' pair per line, '#' comments and
-    blank lines ignored, indices strictly increasing.  Every line is
-    parsed; a malformed one raises ValueError, its message starting
-    'line N: '."""
+def _bfile_entries(lines: Iterable[str], max_index: int) -> dict[int, int]:
+    """{index: value} from b-file lines, keeping indices up to max_index:
+    one 'index value' pair per line, '#' comments and blank lines ignored,
+    indices strictly increasing.  Every line is parsed; a malformed one
+    raises ValueError, its message starting 'line N: '."""
     entries: dict[int, int] = {}
     last: Optional[int] = None
     for lineno, raw in enumerate(lines, start=1):
@@ -161,16 +158,9 @@ def _bfile_entries(lines: Iterable[str], max_index: Optional[int] = None) -> dic
                 f"line {lineno}: indices must be strictly increasing, got {index} after {last}"
             )
         last = index
-        if max_index is None or index <= max_index:
+        if index <= max_index:
             entries[index] = value
     return entries
-
-
-def parse_bfile(text: str) -> dict[int, int]:
-    """Parse b-file text into {index: value}: one 'index value' pair per
-    line, '#' comments and blank lines ignored, indices strictly increasing.
-    A malformed line raises ValueError, its message starting 'line N: '."""
-    return _bfile_entries(text.splitlines())
 
 
 def _bfile_lines(f: TextIO, path: str) -> Iterator[str]:
@@ -579,7 +569,7 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"{shown} is not a rational number") from None
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     """Return a new parser with every subcommand; `run` builds one per process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -677,7 +667,7 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
     new Namespace, every default is immutable, and the handlers bound by
     `set_defaults` look up the routes they call each time they run.
     """
-    parser = build_parser()
+    parser = _build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return parser, commands.choices
 

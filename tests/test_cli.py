@@ -38,7 +38,6 @@ from bernlab.cli import (
     bench_run,
     main,
     oeis_check,
-    parse_bfile,
     run,
 )
 from support import CLI, environment, run_code
@@ -65,45 +64,51 @@ def no_bernoulli_values(monkeypatch):
         monkeypatch.setattr(cli, name, refuse)
 
 
+def parse_bfile_text(text):
+    """The entries of b-file text, parsed as oeis-check parses a file's
+    lines, keeping every index these tests write."""
+    return cli._bfile_entries(text.splitlines(), 10**9)
+
+
 class TestParseBfile:
     def test_basic(self):
         text = "# leading comment\n0 1\n1 -1\n\n# interlude\n2 1\n"
-        assert list(parse_bfile(text).items()) == [(0, 1), (1, -1), (2, 1)]
+        assert list(parse_bfile_text(text).items()) == [(0, 1), (1, -1), (2, 1)]
 
     def test_whitespace_tolerance(self):
-        assert list(parse_bfile("  3   42  \n").items()) == [(3, 42)]
+        assert list(parse_bfile_text("  3   42  \n").items()) == [(3, 42)]
 
     def test_empty_text(self):
-        assert list(parse_bfile("").items()) == []
-        assert list(parse_bfile("# only a comment\n").items()) == []
+        assert list(parse_bfile_text("").items()) == []
+        assert list(parse_bfile_text("# only a comment\n").items()) == []
 
     def test_non_integer_token(self):
         with pytest.raises(ValueError, match=r"^line 1: non-integer token"):
-            parse_bfile("3 a")
+            parse_bfile_text("3 a")
 
     def test_line_numbers_count_comments_and_blanks(self):
         with pytest.raises(ValueError, match=r"^line 3: "):
-            parse_bfile("# header\n\n1 2 3\n")
+            parse_bfile_text("# header\n\n1 2 3\n")
 
     def test_wrong_token_count(self):
         with pytest.raises(ValueError, match=r"^line 1: expected 'index value'"):
-            parse_bfile("1 2 3")
+            parse_bfile_text("1 2 3")
         with pytest.raises(ValueError, match=r"^line 1: expected 'index value'"):
-            parse_bfile("7")
+            parse_bfile_text("7")
 
     def test_non_increasing_indices(self):
         with pytest.raises(ValueError, match=r"^line 2: .*strictly increasing"):
-            parse_bfile("0 1\n0 2\n")
+            parse_bfile_text("0 1\n0 2\n")
         with pytest.raises(ValueError, match=r"^line 2: .*strictly increasing"):
-            parse_bfile("5 3\n4 1\n")
+            parse_bfile_text("5 3\n4 1\n")
 
     def test_messages_echo_a_short_prefix_of_the_line(self):
         line = "1 2 " + "3" * 5000
         with pytest.raises(ValueError) as exc_info:
-            parse_bfile(line)
+            parse_bfile_text(line)
         assert str(exc_info.value) == f"line 1: expected 'index value', got {line[:40]!r}..."
         with pytest.raises(ValueError) as exc_info:
-            parse_bfile("1 x" + "y" * 5000)
+            parse_bfile_text("1 x" + "y" * 5000)
         assert str(exc_info.value) == f"line 1: non-integer token in '1 x{'y' * 37}'..."
 
     def test_value_past_the_digit_limit_names_it(self, set_str_digit_limit):
@@ -112,10 +117,10 @@ class TestParseBfile:
             r"^line 2: a number in '3000 7{35}'\.\.\. has 4400 digits, "
             r"over the interpreter's int-str limit of 4300$"
         )):
-            parse_bfile("0 1\n3000 " + "7" * 4400)
-        assert parse_bfile("3000 " + "7_" * 2149 + "7") == {3000: int("7" * 2150)}
+            parse_bfile_text("0 1\n3000 " + "7" * 4400)
+        assert parse_bfile_text("3000 " + "7_" * 2149 + "7") == {3000: int("7" * 2150)}
         set_str_digit_limit(0)
-        assert parse_bfile("3000 " + "7" * 4400) == {3000: int("7" * 4400)}
+        assert parse_bfile_text("3000 " + "7" * 4400) == {3000: int("7" * 4400)}
 
     @given(
         st.lists(
@@ -127,11 +132,11 @@ class TestParseBfile:
     @settings(max_examples=60, deadline=None)
     def test_render_parse_roundtrip(self, pairs):
         entries = sorted(pairs)
-        assert list(parse_bfile("".join(f"{i} {v}\n" for i, v in entries)).items()) == entries
+        assert list(parse_bfile_text("".join(f"{i} {v}\n" for i, v in entries)).items()) == entries
 
     def test_shipped_fixtures_parse(self):
-        nums = parse_bfile(Path(NUMERATORS).read_text())
-        dens = parse_bfile(Path(DENOMINATORS).read_text())
+        nums = parse_bfile_text(Path(NUMERATORS).read_text())
+        dens = parse_bfile_text(Path(DENOMINATORS).read_text())
         assert list(nums) == list(range(31))
         assert list(dens) == list(range(31))
         assert nums[12] == -691 and dens[12] == 2730
@@ -1099,8 +1104,8 @@ class TestOeisCheckCommand:
         # \f, \x1c, \x85, \u2028 and \v end a line for str.splitlines but
         # not for file iteration.  The file is read in blocks of 2**16
         # characters: one line runs across a block edge, and a \f ends
-        # the second block.  Both keep parse_bfile's count for the text
-        # read whole, here and in the error message.
+        # the second block.  Both keep the line count of the text read
+        # whole, here and in the error message.
         block = 2**16
         text = "0 1\n1" + " " * (block + 100) + "1\n"
         text += "#" + "x" * (2 * block - 2 - len(text)) + "\x0c"
@@ -1108,7 +1113,7 @@ class TestOeisCheckCommand:
         text += "2 1\x1c3 1\x854 1\u20285 1\v6 1\r7 1\r\n8 1\n"
         path = tmp_path / "nums.txt"
         path.write_text(text, encoding="utf-8", newline="")
-        whole = parse_bfile(path.read_text(encoding="utf-8"))
+        whole = parse_bfile_text(path.read_text(encoding="utf-8"))
         assert list(whole) == list(range(9))
         assert cli._read_bfile(str(path), 10**9) == whole
         assert cli._read_bfile(str(path), 4) == {k: v for k, v in whole.items() if k <= 4}
@@ -1128,8 +1133,8 @@ class TestOeisCheckCommand:
         whole = path.read_text(encoding="utf-8")  # newlines translated, as the reader reads them
         with open(path, encoding="utf-8") as f:
             assert list(cli._bfile_lines(f, str(path))) == whole.splitlines()
-        assert len(parse_bfile(whole)) >= 2
-        assert cli._read_bfile(str(path), 10**9) == parse_bfile(whole)
+        assert len(parse_bfile_text(whole)) >= 2
+        assert cli._read_bfile(str(path), 10**9) == parse_bfile_text(whole)
         path.write_text(text + "\nx y\n", encoding="utf-8", newline="")
         lineno = len(path.read_text(encoding="utf-8").splitlines())
         code, out, err = run_capture(
@@ -1354,8 +1359,7 @@ class TestCostGuards:
 
         for name in (
             "bernoulli_recurrence", "bernoulli_split", "bernoulli_stirling_sum",
-            "stirling2", "polylog_neg_rf", "rf_eval_exact", "parse_bfile",
-            "_bfile_entries",
+            "stirling2", "polylog_neg_rf", "rf_eval_exact", "_bfile_entries",
         ):
             monkeypatch.setattr(cli, name, refuse)
         for name in ("gauss_legendre", "_panel_rule", "_form_at_nodes"):
@@ -1642,9 +1646,9 @@ class TestSharedParser:
                 assert probe(c) == first_probe[c], (i, c)
 
     def test_run_builds_the_parser_once(self, capsys, monkeypatch):
-        real = cli.build_parser
+        real = cli._build_parser
         calls = []
-        monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or real())
+        monkeypatch.setattr(cli, "_build_parser", lambda: calls.append(1) or real())
         for n in range(20):
             assert run_capture(capsys, "bernoulli", str(n % 5))[0] == 0
         assert len(calls) == 1
@@ -1654,14 +1658,14 @@ class TestSharedParser:
         assert (proc.returncode, proc.stdout) == (0, "0\n")
 
     def test_build_parser_returns_a_new_parser(self):
-        assert cli.build_parser() is not cli.build_parser()
+        assert cli._build_parser() is not cli._build_parser()
 
 
 def reference_run(argv):
     """`run` with one full parse by a new top-level parser, which hands the
     words after the subcommand name to that subcommand's parser itself."""
     try:
-        args = cli.build_parser().parse_args(argv)
+        args = cli._build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -48,10 +48,8 @@ CLI_PUBLIC = [
     "MAX_SIZE",
     "MAX_AT_DIGITS",
     "MAX_OEIS_CHECK",
-    "parse_bfile",
     "oeis_check",
     "bench_run",
-    "build_parser",
     "run",
     "main",
 ]
@@ -65,7 +63,7 @@ def test_all_lists_the_public_names_in_order():
 def test_cli_all_lists_its_public_names_in_order():
     from bernlab import cli
 
-    assert len(CLI_PUBLIC) == 14
+    assert len(CLI_PUBLIC) == 12
     assert cli.__all__ == CLI_PUBLIC
     assert all(hasattr(cli, name) for name in CLI_PUBLIC)
 
