@@ -126,13 +126,15 @@ def bernoulli_stirling_sum(n: int) -> Fraction:
 
     The terms sit over the common denominator L = lcm(1, ..., n+1), so
     with x_k = (-1)^k S(n, k) * (L / (k+1)) the numerator is
-    sum_k k! x_k.  It is folded by Horner in k,
+    sum_k k! x_k.  It is folded by Horner in k, two indices per step,
 
-        h = (h + x_k) * k    for k = n, ..., 1,
+        h = (h * k + x_k * k + x_(k-1)) * (k-1)    for k = n, n-2, ..., 2,
 
-    and the k = 0 term is added last, so no k! is carried: each step
-    costs one multiply S(n, k) * (L / (k+1)) and one big-by-small
-    multiply.  One Fraction is built at the end.  L comes from a memo of
+    then the lone k = 1 term when n is odd, then k = 0, so no k! is
+    carried.  k and k+1 are coprime, so k(k+1) divides L, and
+    x_k * k + x_(k-1) = (-1)^k (S(n,k) k^2 - S(n,k-1) (k+1)) * L/(k(k+1)):
+    each pair costs one multiply by L/(k(k+1)) and big-by-small ones.
+    One Fraction is built at the end.  L comes from a memo of
     lcm(1, ..., k) grown once per process, shared with bernoulli_split's
     squares.
     """
@@ -143,9 +145,11 @@ def bernoulli_stirling_sum(n: int) -> Fraction:
     den = memo.lcms[n + 1]
     row = stirling2_row(n)
     h = 0
-    for k in range(n, 0, -1):
-        x = row[k] * (den // (k + 1))
-        h = (h - x if k & 1 else h + x) * k
+    for k in range(n, 1, -2):
+        y = (row[k] * (k * k) - row[k - 1] * (k + 1)) * (den // (k * (k + 1)))
+        h = (h * k - y if k & 1 else h * k + y) * (k - 1)
+    if n & 1:
+        h -= row[1] * (den // 2)
     return Fraction(h + row[0] * den, den)
 
 
@@ -155,29 +159,33 @@ def bernoulli_split(m: int, n: int) -> Fraction:
         sum_{k<=n} sum_{l<=m} (-1)^(k+l) k! l! S(n,k) S(m,l)
                               / ((k+l+1) * C(k+l, l)).
 
-    Each term's denominator is evaluated in the equivalent factorial form
-    k! l! / (k+l+1)!, so the sum sits over the common denominator
-    (m+n+1)! and accumulates in pure integer arithmetic; one Fraction is
-    built at the end.  With a_k = (-1)^k (k!)^2 S(n,k) and
+    The double sum is symmetric under swapping m and n, so m > n is
+    swapped first and the inner sum runs over the shorter row.  When n
+    is even the row gets S(n, n+1) = 0 appended, so it ends at an odd
+    index N and splits into pairs (k, k+1) with k even.  Each term's
+    denominator is evaluated in the equivalent factorial form
+    k! l! / (k+l+1)!, so the sum sits over (m+N+1)! -- (m+n+1)! or
+    (m+n+2)! by the parity of the longer row -- and accumulates in pure
+    integer arithmetic; one Fraction is built at the end.  With
     b_l = (-1)^l (l!)^2 S(m,l) the numerator is
 
-        acc = sum_k a_k * sum_l b_l * (m+n+1)!/(k+l+1)!,
+        acc = sum_k (-1)^k (k!)^2 S(n,k) * sum_l b_l * (m+N+1)!/(k+l+1)!,
 
-    and (m+n+1)!/(k+l+1)! is the product of i over k+l+2 <= i <= m+n+1.
+    and (m+N+1)!/(k+l+1)! is the product of i over k+l+2 <= i <= m+N+1.
     Splitting that product at k+m+1 nests two Horner schemes whose
-    multipliers are the factors i themselves, all at most m+n+1:
+    multipliers are the factors i themselves, all at most m+N+1.  One
+    pass over b gives T_k and T_(k+1), by t0 = t0*i + b_l and
+    t1 = t1*(i+1) + b_l for i = k+1, ..., k+m+1, and the outer Horner
+    folds a pair per step, with ((k+1)!)^2 = (k!)^2 (k+1)^2:
 
-        T_k = sum_l b_l * prod_{i=k+l+2}^{k+m+1} i,  by t = t*i + b_l
-              for i = k+1, ..., k+m+1;
-        acc = acc * (k+m+1) + a_k * T_k              for k = 0, ..., n.
+        acc = acc * (k+m+1)(k+m+2)
+              + (k!)^2 (S(n,k) T_k (k+m+2) - (k+1)^2 S(n,k+1) T_(k+1)).
 
     So each (k, l) step multiplies a big integer by a small one, and
-    each k costs one big-by-big multiply, a_k * T_k.  The double sum is
-    symmetric under swapping m and n, so m > n is swapped first: the
-    inner Horner then runs over the shorter row and T_k stays small.
-
-    The squares (k!)^2 come from a memo shared with bernoulli_stirling_sum
-    and grown to the longer row, and (m+n+1)! from math.factorial.
+    each pair costs one (k!)^2 multiply; the row entries are not each
+    scaled by (k!)^2.  The squares come from a memo shared with
+    bernoulli_stirling_sum, grown to the longer row, and (m+N+1)! from
+    math.factorial.
     """
     if m < 0 or n < 0:
         raise ValueError(f"split indices must be non-negative, got ({m}, {n})")
@@ -186,17 +194,19 @@ def bernoulli_split(m: int, n: int) -> Fraction:
     memo = _FACTORIALS
     memo.extend_to(n)
     squares = memo.squares
-    a = [-q * s if k & 1 else q * s for k, (q, s) in enumerate(zip(squares, stirling2_row(n)))]
+    row = stirling2_row(n)
+    if not n & 1:
+        row = [*row, 0]  # S(n, n+1), so the row splits into pairs
     b = [-q * s if l & 1 else q * s for l, (q, s) in enumerate(zip(squares, stirling2_row(m)))]
     acc = 0
-    for k, ak in enumerate(a):
-        acc *= k + m + 1
-        if ak:
-            t = 0
-            for i, bl in zip(range(k + 1, k + m + 2), b):
-                t = t * i + bl
-            acc += ak * t
-    return Fraction(acc, factorial(m + n + 1))
+    for k in range(0, len(row), 2):
+        t0 = t1 = 0
+        for i, bl in zip(range(k + 1, k + m + 2), b):
+            t0 = t0 * i + bl
+            t1 = t1 * (i + 1) + bl
+        pair = row[k] * (t0 * (k + m + 2)) - row[k + 1] * (t1 * ((k + 1) * (k + 1)))
+        acc = acc * ((k + m + 1) * (k + m + 2)) + squares[k] * pair
+    return Fraction(acc, factorial(m + len(row)))
 
 
 def zeta_nonpositive(s: int) -> Fraction:

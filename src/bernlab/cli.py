@@ -74,9 +74,9 @@ __all__ = [
 # `--at 7/3` adds a 3-6 ms evaluation), and it peaks at 45 MB.  The
 # triangle keeps rows 0..300 and one row in 16 above them, 17 MB at row
 # 1000 where every row took 189 MB, so `stirling 1000 500` peaks at 35 MB,
-# `identity 0 1000` at 39 MB and `identity 500 500`, about 0.4-0.65 s,
-# at 28 MB; `table bernoulli --max 1000` (a cold Bernoulli table to 1000)
-# takes 0.2-0.25 s and every other Bernoulli route under 0.7 s.
+# `identity 0 1000` at 39 MB and `identity 500 500`, about 0.39-0.42 s,
+# at 27 MB; `table bernoulli --max 1000` (a cold Bernoulli table to 1000)
+# takes 0.2-0.25 s and every other Bernoulli route under 0.55 s.
 MAX_SIZE = 1000
 # Largest exact value `polylog n --at t` computes, measured as (n + 1)
 # times the digit count of t's numerator or denominator, whichever is
@@ -95,10 +95,10 @@ MAX_SIZE = 1000
 MAX_AT_DIGITS = 10_000
 # Largest oeis-check --max.  Each index takes one balanced split, so the
 # sweep grows about as max^4: with files complete to 1000, a fresh
-# process took 0.65-0.8 s at 300, 1.05-1.15 s at 350, 1.8-2.1 s at 400,
-# 5.3 s at 500 and about a minute at 1000.
+# process took 0.38-0.39 s at 300, 0.66-0.7 s at 350, 1.0 s at 400,
+# 2.4 s at 500 and 35 s at 1000.
 MAX_OEIS_CHECK = 300
-# Largest bench sweep; `bench --max-sum 60` takes 0.6-0.9 s as a fresh process.
+# Largest bench sweep; `bench --max-sum 60` takes about 0.5 s as a fresh process.
 MAX_BENCH_SUM = 60
 # Largest quadrature rule of verify-integral and beta-check.  Building a
 # Gauss-Legendre rule grows about as nodes^2 (256 nodes take about

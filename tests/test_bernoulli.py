@@ -149,6 +149,11 @@ class TestStirlingSum:
         for n in range(401):
             assert bernoulli_stirling_sum(n) == Fraction(*mpmath.bernfrac(n)), n
 
+    @pytest.mark.parametrize("n", [401, 402, 641, 642])
+    def test_matches_recurrence_past_400(self, n):
+        # odd n leaves the lone k = 1 term after the paired Horner steps
+        assert bernoulli_stirling_sum(n) == bernoulli_recurrence(n)
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             bernoulli_stirling_sum(-2)
@@ -248,13 +253,19 @@ class TestSplit:
                 assert bernoulli_split(m, total - m) == literal_split(m, total - m), (m, total - m)
 
     def test_matches_literal_formula_on_skewed_pairs(self):
-        # m <= 2 leaves the inner Horner one to three steps, n <= 2 the outer one
+        # the shorter row, m <= 2, leaves the inner Horner one to three steps;
+        # the longer one, n <= 60, gives the outer Horner 1 to 31 steps of a
+        # pair each, the last pair padded with S(n, n+1) = 0 when n is even
         for short in range(3):
             for long in range(61):
                 assert bernoulli_split(short, long) == literal_split(short, long), (short, long)
                 assert bernoulli_split(long, short) == literal_split(long, short), (long, short)
 
-    @pytest.mark.parametrize("m, n", [(0, 250), (250, 0), (3, 240), (125, 125), (500, 500)])
+    # past the random grid: an even longer row, as in (1, 998), is padded
+    # with S(n, n+1) = 0 to pair its terms; (0, 999) and (2, 401) are not
+    @pytest.mark.parametrize("m, n", [
+        (0, 250), (250, 0), (3, 240), (125, 125), (500, 500), (1, 998), (998, 1), (0, 999), (2, 401), (401, 2),
+    ])
     def test_matches_recurrence_at_large_pairs(self, m, n):
         assert bernoulli_split(m, n) == bernoulli_recurrence(m + n)
 
