@@ -42,7 +42,7 @@ from .bernoulli import (
     bernoulli_stirling_sum,
 )
 from .combinatorics import stirling2
-from .polylog import polylog_neg_rf, rf_eval_exact
+from .polylog import Polynomial, polylog_neg_rf, rf_eval_exact
 from .quadrature import (
     DEFAULT_NODES,
     DEFAULT_PANELS,
@@ -68,10 +68,11 @@ __all__ = [
 
 # Largest size argument a subcommand accepts (bernoulli n, stirling n,
 # table --max, polylog n, identity m + n).  At the limit the slowest
-# request is `polylog 1000`, about 0.65-0.85 s as a fresh process (Python
-# 3.11, 2 vCPUs; growing the Stirling triangle takes about 0.2 s,
-# polylog_neg_rf(1000) 0.3 s, rendering 0.1 s, and the rest is start-up;
-# `--at 7/3` adds a 3-6 ms evaluation), and it peaks at 45 MB.  The
+# request is `polylog 1000`, about 0.55-1.0 s as a fresh process (Python
+# 3.11, 2 vCPUs; growing the Stirling triangle takes about 0.16 s,
+# polylog_neg_rf(1000) 0.27 s, rendering 0.09 s or a tenth, and CSV's
+# cells or JSON's strings another 0.09 s; `--at 7/3` adds 3-6 ms).  It
+# peaks at 42 MB in plain, 48 MB in JSON and 57 MB in CSV.  The
 # triangle keeps rows 0..300 and one row in 16 above them, 17 MB at row
 # 1000 where every row took 189 MB, so `stirling 1000 500` peaks at 35 MB,
 # `identity 0 1000` at 39 MB and `identity 500 500`, about 0.39-0.42 s,
@@ -118,11 +119,6 @@ MAX_NODES = 256
 # blocks and only entries up to --max are kept, so two files at the cap
 # with one short line per index peak near the import baseline.
 MAX_BFILE_CHARS = 8 * 2**20
-
-
-def rational_json(q: Fraction) -> dict[str, str]:
-    """Rationals go into JSON as decimal strings so nothing overflows a double."""
-    return {"num": str(q.numerator), "den": str(q.denominator)}
 
 
 def _shown(text: str) -> str:
@@ -311,12 +307,21 @@ class Output(NamedTuple):
     code: int = 0
 
 
+def _json_default(value: Fraction | Polynomial) -> dict[str, str] | list[str]:
+    """Numbers go into JSON as decimal strings so nothing overflows a double."""
+    if isinstance(value, Polynomial):
+        return [str(c) for c in value.coeffs]
+    return {"num": str(value.numerator), "den": str(value.denominator)}
+
+
 def _emit(output: Output, fmt: str) -> int:
     """Print `output` in `fmt` and return its exit code.
 
-    JSON writes Fractions as {"num", "den"} decimal strings; CSV writes
-    the first row's keys as its header, then each row's values: Fractions
-    with str, bools as true/false and None as an empty cell.
+    JSON writes Fractions as {"num", "den"} decimal strings and
+    Polynomials as the list of their coefficients' decimal strings; CSV
+    writes the first row's keys as its header, then each row's values:
+    Fractions with str, Polynomials as render("t"), bools as true/false
+    and None as an empty cell.
     """
     if fmt == "plain":
         print(*output.plain, sep="\n")
@@ -324,11 +329,12 @@ def _emit(output: Output, fmt: str) -> int:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(output.rows[0])
         writer.writerows(
-            ["true" if v is True else "false" if v is False else v for v in row.values()]
+            ["true" if v is True else "false" if v is False
+             else v.render("t") if isinstance(v, Polynomial) else v for v in row.values()]
             for row in output.rows
         )
     else:
-        print(json.dumps(output.json, indent=2, default=rational_json))
+        print(json.dumps(output.json, indent=2, default=_json_default))
     return output.code
 
 
@@ -443,22 +449,15 @@ def _cmd_polylog(args: argparse.Namespace) -> Output:
         _check_size("(n + 1) * digits of --at", (args.n + 1) * digits, MAX_AT_DIGITS)
         _check_str_digits("the point t", digits)  # an exponent's digits escape _fraction's check
     f = polylog_neg_rf(args.n)
-    num, den = f.numerator.render("t"), f.denominator.render("t")
-    # The denominator (1+t)^(n+1) is never 1, so this is f.render("t").
-    plain = [f"Li_{{-{args.n}}}(-t) = ({num})/({den})"]
+    plain = [f"Li_{{-{args.n}}}(-t) = {f.render('t')}"]
     at = value = None
     if args.at is not None:
         at, value = str(args.at), rf_eval_exact(f, args.at)
         digits = max(_decimal_digits(value.numerator), _decimal_digits(value.denominator))
         _check_str_digits("the value at t", digits)
         plain.append(f"value at t = {at}: {value}")
-    row = {"n": args.n, "numerator": num, "denominator": den, "at": at, "value": value}
-    # The JSON row keeps the key order, with the coefficient lists as the parts.
-    return Output(plain, [row], {
-        **row,
-        "numerator": [str(c) for c in f.numerator.coeffs],
-        "denominator": [str(c) for c in f.denominator.coeffs],
-    })
+    row = {"n": args.n, "numerator": f.numerator, "denominator": f.denominator, "at": at, "value": value}
+    return Output(plain, [row], row)
 
 
 def _cmd_verify_integral(args: argparse.Namespace) -> Output:

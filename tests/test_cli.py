@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from bernlab import bernoulli, cli, combinatorics, quadrature
 from bernlab.bernoulli import bernoulli_recurrence
-from bernlab.polylog import polylog_neg_rf, rf_eval_exact
+from bernlab.polylog import Polynomial, RationalFunction, polylog_neg_rf, rf_eval_exact
 from bernlab.cli import (
     BenchMismatchError,
     MAX_AT_DIGITS,
@@ -841,6 +841,36 @@ class TestOtherValueCommands:
         for n in range(61):
             code, out, _ = run_capture(capsys, "polylog", str(n))
             assert (code, out) == (0, f"Li_{{-{n}}}(-t) = {polylog_neg_rf(n).render('t')}\n"), n
+            f = polylog_neg_rf(n)
+            parts = f.numerator, f.denominator
+            code, out, _ = run_capture(capsys, "polylog", str(n), "--format", "csv")
+            assert code == 0
+            assert list(csv.reader(io.StringIO(out)))[1][1:3] == [p.render("t") for p in parts], n
+            code, out, _ = run_capture(capsys, "polylog", str(n), "--format", "json")
+            payload = json.loads(out)
+            assert code == 0
+            assert [payload["numerator"], payload["denominator"]] == [
+                [str(c) for c in p.coeffs] for p in parts
+            ], n
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv"])
+    def test_polylog_builds_json_coefficient_lists_only_for_json(self, capsys, monkeypatch, fmt):
+        # Rendering goes through abs(), which returns a plain int, so only
+        # the JSON coefficient lists call this __str__.
+        calls = []
+
+        class Counted(int):
+            def __str__(self):
+                calls.append(int(self))
+                return int.__str__(self)
+
+        f = polylog_neg_rf(12)
+        counted = RationalFunction(*(Polynomial(map(Counted, p.coeffs)) for p in (f.numerator, f.denominator)))
+        monkeypatch.setattr(cli, "polylog_neg_rf", lambda n: counted)
+        assert run_capture(capsys, "polylog", "12", "--format", fmt) == (0, POLYLOG_12_GOLDEN[fmt, None], "")
+        assert calls == []
+        assert run_capture(capsys, "polylog", "12", "--format", "json") == (0, POLYLOG_12_GOLDEN["json", None], "")
+        assert len(calls) == len(f.numerator.coeffs) + len(f.denominator.coeffs)
 
     def test_polylog_with_evaluation(self, capsys):
         code, out, _ = run_capture(capsys, "polylog", "1", "--at", "1/2")
