@@ -299,9 +299,11 @@ def bench_run(
 
 class Output(NamedTuple):
     """One subcommand's result in every format `_emit` can print; `rows`
-    is the CSV table, one dict per row, all with the same keys."""
+    is the CSV table, one dict per row, all with the same keys.  A plain
+    line that is costly to build may be a function that returns it, which
+    `_emit` calls only when it prints the plain format."""
 
-    plain: list[str]
+    plain: list[str | Callable]
     rows: list[dict]
     json: dict
     code: int = 0
@@ -324,7 +326,7 @@ def _emit(output: Output, fmt: str) -> int:
     and None as an empty cell.
     """
     if fmt == "plain":
-        print(*output.plain, sep="\n")
+        print(*(line() if callable(line) else line for line in output.plain), sep="\n")
     elif fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(output.rows[0])
@@ -449,7 +451,7 @@ def _cmd_polylog(args: argparse.Namespace) -> Output:
         _check_size("(n + 1) * digits of --at", (args.n + 1) * digits, MAX_AT_DIGITS)
         _check_str_digits("the point t", digits)  # an exponent's digits escape _fraction's check
     f = polylog_neg_rf(args.n)
-    plain = [f"Li_{{-{args.n}}}(-t) = {f.render('t')}"]
+    plain = [lambda: f"Li_{{-{args.n}}}(-t) = {f.render('t')}"]
     at = value = None
     if args.at is not None:
         at, value = str(args.at), rf_eval_exact(f, args.at)

@@ -28,16 +28,18 @@ fixed denominator makes equality plain coefficient comparison.
 
 ``rf_eval_exact(f, t)`` evaluates in integers: with t = p/q in lowest
 terms, both parts of f, padded to one length, become homogeneous forms
-in (p, q).  ``_form_pair_at`` computes the two forms together, by one
-Horner pass up to ``_LEAF`` coefficients and by binary splitting above,
-and the result is the one Fraction of the two values.
+in (p, q).  The form of a denominator (1+t)^e, which every polylog_neg_rf
+has, is (p+q)^e times a power of q, so only the numerator's form runs
+through ``_forms_at`` (one Horner pass up to ``_LEAF`` coefficients,
+binary splitting above); any other denominator runs beside it.  The
+result is the one Fraction of the two values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 from typing import Iterable, Sequence
 
@@ -77,6 +79,17 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    @cached_property
+    def _binomial_exponent(self) -> int | None:
+        """e if the coefficients are those of (1+t)^e, else None; checked
+        once per instance by the running product C(e, i+1) = C(e, i)(e-i)/(i+1)."""
+        e, c = len(self.coeffs) - 1, 1
+        for i, a in enumerate(self.coeffs):
+            if a != c:
+                return None
+            c = c * (e - i) // (i + 1)
+        return e if self.coeffs else None
 
     def negate_variable(self) -> "Polynomial":
         """p(-x) as a polynomial in x: flip the sign of odd coefficients."""
@@ -141,53 +154,63 @@ class RationalFunction:
 # pass; longer ones are halved.  At 32, orders up to 30 never split, so
 # no benchmark workload leaves the leaf.  The split stays for large
 # orders at the --at cap (cli.MAX_AT_DIGITS), evaluated in process on
-# Python 3.11.7: `polylog 1000 --at 999999999/77777777` takes 11-14 ms
-# split against 130-139 ms as one Horner pass, and order 300 at a
-# 33-digit t 4-8 ms against 14-24 ms.
+# Python 3.11.7, 2 vCPUs, numerator only: `polylog 1000 --at
+# 999999999/77777777` takes 7-10 ms split against 70-80 ms as one
+# Horner pass, and order 300 at a 33-digit t 3.4-5 ms against 11-21 ms.
 _LEAF = 32
 
 
-def _form_pair_at(num: Sequence, den: Sequence, p: int, q: int) -> tuple:
-    """The homogeneous forms sum_i c_i p^i q^(L-1-i) of two coefficient
-    runs num and den of one length L.
+def _forms_at(runs: Sequence[Sequence], p: int, q: int) -> list:
+    """The homogeneous forms sum_i c_i p^i q^(L-1-i) of coefficient runs
+    of one length L.
 
-    Up to _LEAF coefficients both forms come from one Horner pass in p
-    with a running power of q.  A longer pair is split after its low
-    halves, of length m, and F = F_lo * q^(L-m) + F_hi * p^m recombines
-    both forms, so the big multiplies stay balanced.
+    Up to _LEAF coefficients each form is one Horner pass in p with a
+    running power of q.  Longer runs are split after their low halves,
+    of length m, and F = F_lo * q^(L-m) + F_hi * p^m recombines each
+    form, so the big multiplies stay balanced.
     """
-    size = len(num)
+    size = len(runs[0])
     if size > _LEAF:
         mid = size // 2
-        num_lo, den_lo = _form_pair_at(num[:mid], den[:mid], p, q)
-        num_hi, den_hi = _form_pair_at(num[mid:], den[mid:], p, q)
+        lows = _forms_at([run[:mid] for run in runs], p, q)
+        highs = _forms_at([run[mid:] for run in runs], p, q)
         p_lo, q_hi = p**mid, q ** (size - mid)
-        return num_lo * q_hi + num_hi * p_lo, den_lo * q_hi + den_hi * p_lo
-    a = b = 0
-    scale = 1
-    for c, e in zip(reversed(num), reversed(den)):
-        a = a * p + c * scale
-        b = b * p + e * scale
-        scale *= q
-    return a, b
+        return [lo * q_hi + hi * p_lo for lo, hi in zip(lows, highs)]
+    forms = []
+    for run in runs:
+        form = 0
+        scale = 1
+        for c in reversed(run):
+            form = form * p + c * scale
+            scale *= q
+        forms.append(form)
+    return forms
 
 
 def rf_eval_exact(f: RationalFunction, t) -> Fraction:
     """f(t) as a reduced Fraction; a pole raises ZeroDivisionError.
 
-    With t = p/q in lowest terms and d the larger degree of the two
-    parts, q^d * f(t) = N_h / D_h, where each part, padded with zeros to
-    degree d, becomes the homogeneous form sum_i c_i p^i q^(d-i).  Both
-    forms come from one _form_pair_at call, so the only Fraction built
-    (and the only gcd taken) is the result.
+    With t = p/q in lowest terms and both parts padded with zeros to one
+    length L, q^(L-1) * f(t) = N_h / D_h, where each part becomes the
+    homogeneous form sum_i c_i p^i q^(L-1-i).  A denominator (1+t)^e,
+    as every polylog_neg_rf(n) has with e = n + 1, has the closed form
+    D_h = (p+q)^e * q^(L-1-e), so only the numerator runs through
+    _forms_at; any other denominator runs beside it.  The only Fraction
+    built (and the only gcd taken) is the result.
     """
     if not isinstance(t, Fraction):
         t = Fraction(t)
+    p, q = t.numerator, t.denominator
     num, den = f.numerator.coeffs, f.denominator.coeffs
     size = max(len(num), len(den))
-    num_h, den_h = _form_pair_at(
-        num + (0,) * (size - len(num)), den + (0,) * (size - len(den)), t.numerator, t.denominator
-    )
+    runs = [num + (0,) * (size - len(num))]
+    e = f.denominator._binomial_exponent
+    if e is None:
+        runs.append(den + (0,) * (size - len(den)))
+        num_h, den_h = _forms_at(runs, p, q)
+    else:
+        (num_h,) = _forms_at(runs, p, q)
+        den_h = (p + q) ** e * q ** (size - 1 - e)
     if den_h == 0:
         raise ZeroDivisionError(f"pole of rational function at t = {t}")
     return Fraction(num_h, den_h)

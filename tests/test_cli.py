@@ -872,6 +872,21 @@ class TestOtherValueCommands:
         assert run_capture(capsys, "polylog", "12", "--format", "json") == (0, POLYLOG_12_GOLDEN["json", None], "")
         assert len(calls) == len(f.numerator.coeffs) + len(f.denominator.coeffs)
 
+    @pytest.mark.parametrize("at", [None, "3/7"])
+    def test_polylog_renders_the_function_line_only_for_plain(self, capsys, monkeypatch, at):
+        calls = []
+        render = RationalFunction.render
+
+        def counted(self, var="x"):
+            calls.append(var)
+            return render(self, var)
+
+        monkeypatch.setattr(RationalFunction, "render", counted)
+        for fmt in ("csv", "json", "plain"):
+            argv = ["polylog", "12", "--format", fmt] + ([] if at is None else ["--at", at])
+            assert run_capture(capsys, *argv) == (0, POLYLOG_12_GOLDEN[fmt, at], "")
+            assert calls == ([] if fmt != "plain" else ["t"]), fmt
+
     def test_polylog_with_evaluation(self, capsys):
         code, out, _ = run_capture(capsys, "polylog", "1", "--at", "1/2")
         assert code == 0

@@ -396,14 +396,124 @@ class TestBinarySplitting:
 
     @pytest.mark.parametrize("size", [LEAF, LEAF + 1, 2 * LEAF + 1, 5 * LEAF - 3])
     def test_split_forms_are_the_homogeneous_forms(self, size):
-        # The two forms themselves, not only their quotient, against the
-        # plain sum; odd lengths split into unequal halves.
+        # The forms themselves, not only their quotient, against the plain
+        # sum, for one run and for two; odd lengths split into unequal halves.
         p, q = -7, 3
         num, den = tuple(range(-5, size - 5)), tuple((-1) ** i * (i + 9) for i in range(size))
-        expected = tuple(
+        expected = [
             sum(c * p**i * q ** (size - 1 - i) for i, c in enumerate(cs)) for cs in (num, den)
-        )
-        assert bernlab.polylog._form_pair_at(num, den, p, q) == expected
+        ]
+        assert bernlab.polylog._forms_at([num, den], p, q) == expected
+        assert bernlab.polylog._forms_at([num], p, q) == expected[:1]
+
+
+def halving_form(coeffs, p, q):
+    """sum_i c_i p^i q^(L-1-i), L = len(coeffs), halved down to single terms."""
+    if len(coeffs) == 1:
+        return coeffs[0]
+    mid = len(coeffs) // 2
+    lo, hi = halving_form(coeffs[:mid], p, q), halving_form(coeffs[mid:], p, q)
+    return lo * q ** (len(coeffs) - mid) + hi * p**mid
+
+
+def form_reference(f, t):
+    """f(t) from both parts' forms, the denominator's evaluated term by term."""
+    t = Fraction(t)
+    size = max(len(f.numerator.coeffs), len(f.denominator.coeffs))
+    num, den = (
+        halving_form(cs + (0,) * (size - len(cs)), t.numerator, t.denominator)
+        for cs in (f.numerator.coeffs, f.denominator.coeffs)
+    )
+    return Fraction(num, den)
+
+
+# Points with p, q <= 10^12 of both signs, and a t whose parts have 50 digits.
+CLOSED_FORM_POINTS = (
+    Fraction(999999999989, 77777777), Fraction(-(BIG - 39), 999999999959),
+    Fraction(3, BIG - 11), Fraction(-123456789011, 7), Fraction(10**49 + 9, 7**59),
+)
+
+
+class TwoRuns(Exception):
+    """Raised by _forms_at when it is handed a denominator run too."""
+
+
+@pytest.fixture
+def one_run_only(monkeypatch):
+    forms_at = bernlab.polylog._forms_at
+
+    def guarded(runs, p, q):
+        if len(runs) != 1:
+            raise TwoRuns
+        return forms_at(runs, p, q)
+
+    monkeypatch.setattr(bernlab.polylog, "_forms_at", guarded)
+
+
+def near_binomial(e):
+    """(1+t)^e with its middle coefficient one too large."""
+    cs = list(one_plus_t(e).coeffs)
+    cs[e // 2] += 1
+    return Polynomial(cs)
+
+
+OTHER_EXPONENTS = [2, 5, LEAF + 3, 2 * LEAF + 7]
+
+
+def other_denominators(e):
+    """Functions over (1+t)^e with one coefficient off by one, and over (1-t)^e."""
+    numerator = Polynomial(range(1, e + 1))
+    return [RationalFunction(numerator, d) for d in (near_binomial(e), one_minus_x(e))]
+
+
+class TestClosedFormDenominator:
+    """A (1+t)^e denominator is (p+q)^e q^(L-1-e) at t = p/q; only the
+    numerator runs through _forms_at."""
+
+    @pytest.mark.parametrize("n", [*range(61), 1000])
+    def test_polylogs_and_their_reciprocals(self, n, one_run_only, monkeypatch):
+        f = polylog_neg_rf(n)
+        # Evaluation builds no binomial row of its own.
+        for name in ("_one_plus_t_power", "comb"):
+            monkeypatch.setattr(bernlab.polylog, name, None)
+        for g, label in ((f, "neg_rf"), (rf_compose_reciprocal(f), "compose")):
+            assert g.denominator._binomial_exponent == n + 1, (label, n)
+            for t in CLOSED_FORM_POINTS:
+                assert rf_eval_exact(g, t) == form_reference(g, t), (label, n, t)
+
+    @pytest.mark.parametrize("e", [0, 1, 5, LEAF + 3])
+    def test_numerator_of_higher_degree_is_padded(self, e, one_run_only):
+        for size in (e + 2, 3 * LEAF + 1):
+            f = RationalFunction(Polynomial((i % 7) - 3 for i in range(size)), one_plus_t(e))
+            assert f.numerator.degree > e
+            for t in (*CLOSED_FORM_POINTS, *EVAL_POINTS):
+                assert rf_eval_exact(f, t) == horner_reference(f, t), (e, size, t)
+
+    @pytest.mark.parametrize("e", OTHER_EXPONENTS)
+    def test_other_denominators_keep_their_values(self, e):
+        for f in other_denominators(e):
+            assert f.denominator._binomial_exponent is None
+            for t in CLOSED_FORM_POINTS:
+                assert rf_eval_exact(f, t) == form_reference(f, t), (e, t)
+
+    @pytest.mark.parametrize("e", OTHER_EXPONENTS)
+    def test_other_denominators_take_two_runs(self, e, one_run_only):
+        for f in other_denominators(e):
+            with pytest.raises(TwoRuns):
+                rf_eval_exact(f, 2)
+
+    def test_which_coefficients_are_a_binomial_row(self):
+        assert [one_plus_t(e)._binomial_exponent for e in range(6)] == list(range(6))
+        assert Polynomial([1, 2, 1, 0])._binomial_exponent == 2
+        assert Polynomial(map(Fraction, (1, 3, 3, 1)))._binomial_exponent == 3
+        others = ([], [2, 2], [1, 1, 1], [0, 1], [1, -1])
+        for p in map(Polynomial, others):
+            assert p._binomial_exponent is None, p
+
+    def test_pole_message_is_unchanged(self, one_run_only):
+        for n in (0, 1, 40, 1000):
+            with pytest.raises(ZeroDivisionError, match=r"^pole of rational function at t = -1$"):
+                rf_eval_exact(polylog_neg_rf(n), Fraction(-1))
 
 
 class TestComposeReciprocal:
