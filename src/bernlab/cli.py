@@ -160,7 +160,7 @@ def _bfile_entries(lines: Iterable[str], max_index: int) -> dict[int, int]:
 
 
 def _bfile_lines(f: TextIO, path: str) -> Iterator[str]:
-    """The lines str.splitlines gives for the text of f, read in blocks of
+    r"""The lines str.splitlines gives for the text of f, read in blocks of
     2**16 characters; ValueError once more than MAX_BFILE_CHARS are read.
     A block is split with a sentinel "x" appended, so its last piece less
     the "x" is the unfinished line, empty when the block ended a line.

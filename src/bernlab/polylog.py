@@ -27,12 +27,12 @@ its value at t = -1 is n!.  So no polynomial GCD is ever taken, and the
 fixed denominator makes equality plain coefficient comparison.
 
 ``rf_eval_exact(f, t)`` evaluates in integers: with t = p/q in lowest
-terms, both parts of f, padded to one length, become homogeneous forms
-in (p, q).  The form of a denominator (1+t)^e, which every polylog_neg_rf
-has, is (p+q)^e times a power of q, so only the numerator's form runs
-through ``_forms_at`` (one Horner pass up to ``_LEAF`` coefficients,
-binary splitting above); any other denominator runs beside it.  The
-result is the one Fraction of the two values.
+terms, each part of f becomes a homogeneous form in (p, q), times the
+power of q that brings the shorter part to the longer one's length.  A
+part that is (1+t)^e, as every polylog_neg_rf denominator is, has the
+form (p+q)^e; any other part is summed by ``_form_at`` (one Horner pass
+up to ``_LEAF`` coefficients, binary splitting above).  The result is
+the one Fraction of the two values.
 """
 
 from __future__ import annotations
@@ -151,66 +151,63 @@ class RationalFunction:
 
 
 # Runs of at most this many coefficients are evaluated by one Horner
-# pass; longer ones are halved.  At 32, orders up to 30 never split, so
-# no benchmark workload leaves the leaf.  The split stays for large
-# orders at the --at cap (cli.MAX_AT_DIGITS), evaluated in process on
-# Python 3.11.7, 2 vCPUs, numerator only: `polylog 1000 --at
-# 999999999/77777777` takes 7-10 ms split against 70-80 ms as one
-# Horner pass, and order 300 at a 33-digit t 3.4-5 ms against 11-21 ms.
+# pass; longer ones are halved.  At 32, orders up to 31 (n + 1 numerator
+# coefficients) never split, so no benchmark workload leaves the leaf.
+# The split stays for large orders at the --at cap (cli.MAX_AT_DIGITS),
+# evaluated in process on Python 3.11.7, 2 vCPUs, numerator only:
+# `polylog 1000 --at 999999999/77777777` takes 7-10 ms split against
+# 70-80 ms as one Horner pass, and order 300 at a 33-digit t 3.4-5 ms
+# against 11-21 ms.
 _LEAF = 32
 
 
-def _forms_at(runs: Sequence[Sequence], p: int, q: int) -> list:
-    """The homogeneous forms sum_i c_i p^i q^(L-1-i) of coefficient runs
-    of one length L.
+def _form_at(coeffs: Sequence, p: int, q: int) -> int:
+    """The homogeneous form sum_i c_i p^i q^(L-1-i) of a coefficient run
+    of length L.
 
-    Up to _LEAF coefficients each form is one Horner pass in p with a
-    running power of q.  Longer runs are split after their low halves,
-    of length m, and F = F_lo * q^(L-m) + F_hi * p^m recombines each
-    form, so the big multiplies stay balanced.
+    Up to _LEAF coefficients it is one Horner pass in p with a running
+    power of q.  A longer run is split after its low half, of length m,
+    and F = F_lo * q^(L-m) + F_hi * p^m recombines the form, so the big
+    multiplies stay balanced.
     """
-    size = len(runs[0])
+    size = len(coeffs)
     if size > _LEAF:
         mid = size // 2
-        lows = _forms_at([run[:mid] for run in runs], p, q)
-        highs = _forms_at([run[mid:] for run in runs], p, q)
-        p_lo, q_hi = p**mid, q ** (size - mid)
-        return [lo * q_hi + hi * p_lo for lo, hi in zip(lows, highs)]
-    forms = []
-    for run in runs:
-        form = 0
-        scale = 1
-        for c in reversed(run):
-            form = form * p + c * scale
-            scale *= q
-        forms.append(form)
-    return forms
+        low, high = _form_at(coeffs[:mid], p, q), _form_at(coeffs[mid:], p, q)
+        return low * q ** (size - mid) + high * p**mid
+    form = 0
+    scale = 1
+    for c in reversed(coeffs):
+        form = form * p + c * scale
+        scale *= q
+    return form
+
+
+def _part_at(part: Polynomial, p: int, q: int, size: int) -> int:
+    """q^(size-1) * part(p/q): the form of part, in closed form (p+q)^e
+    when part is (1+t)^e, times q^(size-l) for its l coefficients."""
+    e = part._binomial_exponent
+    form = _form_at(part.coeffs, p, q) if e is None else (p + q) ** e
+    return form * q ** (size - len(part.coeffs))
 
 
 def rf_eval_exact(f: RationalFunction, t) -> Fraction:
     """f(t) as a reduced Fraction; a pole raises ZeroDivisionError.
 
-    With t = p/q in lowest terms and both parts padded with zeros to one
-    length L, q^(L-1) * f(t) = N_h / D_h, where each part becomes the
-    homogeneous form sum_i c_i p^i q^(L-1-i).  A denominator (1+t)^e,
-    as every polylog_neg_rf(n) has with e = n + 1, has the closed form
-    D_h = (p+q)^e * q^(L-1-e), so only the numerator runs through
-    _forms_at; any other denominator runs beside it.  The only Fraction
-    built (and the only gcd taken) is the result.
+    With t = p/q in lowest terms and L the longer part's length,
+    q^(L-1) * f(t) = N_h / D_h.  A part of l coefficients contributes
+    its homogeneous form sum_i c_i p^i q^(l-1-i), from _form_at, times
+    q^(L-l).  A part that is (1+t)^e, as every polylog_neg_rf(n)
+    denominator is with e = n + 1, has the closed form (p+q)^e in place
+    of the sum.  The only Fraction built (and the only gcd taken) is the
+    result.
     """
     if not isinstance(t, Fraction):
         t = Fraction(t)
     p, q = t.numerator, t.denominator
-    num, den = f.numerator.coeffs, f.denominator.coeffs
-    size = max(len(num), len(den))
-    runs = [num + (0,) * (size - len(num))]
-    e = f.denominator._binomial_exponent
-    if e is None:
-        runs.append(den + (0,) * (size - len(den)))
-        num_h, den_h = _forms_at(runs, p, q)
-    else:
-        (num_h,) = _forms_at(runs, p, q)
-        den_h = (p + q) ** e * q ** (size - 1 - e)
+    size = max(len(f.numerator.coeffs), len(f.denominator.coeffs))
+    num_h = _part_at(f.numerator, p, q, size)
+    den_h = _part_at(f.denominator, p, q, size)
     if den_h == 0:
         raise ZeroDivisionError(f"pole of rational function at t = {t}")
     return Fraction(num_h, den_h)

@@ -1,6 +1,10 @@
 """The package namespace: `bernlab` re-exports each module's `__all__`,
 and nothing else; `bernlab.cli`, which it leaves out, has its own list."""
 
+import inspect
+import pkgutil
+import unicodedata
+from functools import cached_property
 from importlib import import_module
 
 import bernlab
@@ -87,3 +91,33 @@ def test_import_leaves_the_cli_unloaded():
     # A fresh process, since other tests import the CLI.
     proc = run_code("import sys, bernlab; print('bernlab.cli' in sys.modules, hasattr(bernlab, 'cli'))")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False False\n", "")
+
+
+# Each carries the docstring of the function it wraps.
+METHOD_WRAPPERS = (property, cached_property, staticmethod, classmethod)
+
+
+def docstrings(module):
+    """The docstrings of module and of each class, function and method it defines."""
+    yield module.__name__, module.__doc__
+    for name, obj in vars(module).items():
+        obj = inspect.unwrap(obj)  # an lru_cache keeps its function's docstring
+        if not (inspect.isclass(obj) or inspect.isfunction(obj)) or obj.__module__ != module.__name__:
+            continue
+        yield name, obj.__doc__
+        if inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if inspect.isfunction(member) or isinstance(member, METHOD_WRAPPERS):
+                    yield f"{name}.{attr}", member.__doc__
+
+
+def test_docstrings_hold_no_control_characters_but_newlines():
+    # A plain docstring that spells \r holds a carriage return itself.
+    found = []
+    for info in pkgutil.iter_modules(bernlab.__path__):
+        module = import_module(f"bernlab.{info.name}")
+        for name, doc in docstrings(module):
+            bad = {ch for ch in doc or "" if ch != "\n" and unicodedata.category(ch) == "Cc"}
+            if bad:
+                found.append((module.__name__, name, sorted(bad)))
+    assert not found

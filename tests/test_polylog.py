@@ -330,8 +330,8 @@ class TestExactEvaluationInIntegers:
 
 
 LEAF = bernlab.polylog._LEAF
-# Orders next to one and two leaves: order n has n + 2 coefficients, so
-# these cover runs just under, at and just over each split.
+# Orders next to one and two leaves: order n's numerator has n + 1
+# coefficients, so these cover runs just under, at and just over each split.
 ORDERS_AT_THE_LEAF = sorted({k * LEAF + j for k in (1, 2) for j in range(-3, 2)})
 LONG_HAND_BUILT = (
     # Fraction coefficients, both parts longer than the leaf
@@ -397,14 +397,14 @@ class TestBinarySplitting:
     @pytest.mark.parametrize("size", [LEAF, LEAF + 1, 2 * LEAF + 1, 5 * LEAF - 3])
     def test_split_forms_are_the_homogeneous_forms(self, size):
         # The forms themselves, not only their quotient, against the plain
-        # sum, for one run and for two; odd lengths split into unequal halves.
+        # sum, for each of two runs; odd lengths split into unequal halves.
         p, q = -7, 3
         num, den = tuple(range(-5, size - 5)), tuple((-1) ** i * (i + 9) for i in range(size))
         expected = [
             sum(c * p**i * q ** (size - 1 - i) for i, c in enumerate(cs)) for cs in (num, den)
         ]
-        assert bernlab.polylog._forms_at([num, den], p, q) == expected
-        assert bernlab.polylog._forms_at([num], p, q) == expected[:1]
+        assert bernlab.polylog._form_at(num, p, q) == expected[0]
+        assert bernlab.polylog._form_at(den, p, q) == expected[1]
 
 
 def halving_form(coeffs, p, q):
@@ -434,20 +434,25 @@ CLOSED_FORM_POINTS = (
 )
 
 
-class TwoRuns(Exception):
-    """Raised by _forms_at when it is handed a denominator run too."""
+class PartSummed(Exception):
+    """Raised by _form_at when it is handed a guarded part's coefficients."""
 
 
 @pytest.fixture
-def one_run_only(monkeypatch):
-    forms_at = bernlab.polylog._forms_at
+def guard(monkeypatch):
+    """guard(part) makes _form_at raise PartSummed when it is handed the
+    part's own coefficient tuple.  Halves are new tuples, so the check
+    is by identity."""
+    form_at = bernlab.polylog._form_at
+    guarded_parts = []
 
-    def guarded(runs, p, q):
-        if len(runs) != 1:
-            raise TwoRuns
-        return forms_at(runs, p, q)
+    def guarded(coeffs, p, q):
+        if any(coeffs is part.coeffs for part in guarded_parts):
+            raise PartSummed
+        return form_at(coeffs, p, q)
 
-    monkeypatch.setattr(bernlab.polylog, "_forms_at", guarded)
+    monkeypatch.setattr(bernlab.polylog, "_form_at", guarded)
+    return guarded_parts.append
 
 
 def near_binomial(e):
@@ -467,27 +472,36 @@ def other_denominators(e):
 
 
 class TestClosedFormDenominator:
-    """A (1+t)^e denominator is (p+q)^e q^(L-1-e) at t = p/q; only the
-    numerator runs through _forms_at."""
+    """A (1+t)^e part is (p+q)^e q^(L-1-e) at t = p/q; only a part that
+    is not runs through _form_at."""
 
     @pytest.mark.parametrize("n", [*range(61), 1000])
-    def test_polylogs_and_their_reciprocals(self, n, one_run_only, monkeypatch):
+    def test_polylogs_and_their_reciprocals(self, n, guard, monkeypatch):
         f = polylog_neg_rf(n)
         # Evaluation builds no binomial row of its own.
         for name in ("_one_plus_t_power", "comb"):
             monkeypatch.setattr(bernlab.polylog, name, None)
         for g, label in ((f, "neg_rf"), (rf_compose_reciprocal(f), "compose")):
             assert g.denominator._binomial_exponent == n + 1, (label, n)
+            guard(g.denominator)
             for t in CLOSED_FORM_POINTS:
                 assert rf_eval_exact(g, t) == form_reference(g, t), (label, n, t)
 
     @pytest.mark.parametrize("e", [0, 1, 5, LEAF + 3])
-    def test_numerator_of_higher_degree_is_padded(self, e, one_run_only):
+    def test_numerator_of_higher_degree_is_padded(self, e, guard):
         for size in (e + 2, 3 * LEAF + 1):
             f = RationalFunction(Polynomial((i % 7) - 3 for i in range(size)), one_plus_t(e))
             assert f.numerator.degree > e
+            guard(f.denominator)
             for t in (*CLOSED_FORM_POINTS, *EVAL_POINTS):
                 assert rf_eval_exact(f, t) == horner_reference(f, t), (e, size, t)
+
+    @pytest.mark.parametrize("e", [0, 1, 5, LEAF + 3, 2 * LEAF + 7])
+    def test_binomial_row_numerator(self, e, guard):
+        f = RationalFunction(one_plus_t(e), Polynomial([1, 0, 1]))
+        guard(f.numerator)
+        for t in CLOSED_FORM_POINTS:
+            assert rf_eval_exact(f, t) == form_reference(f, t), (e, t)
 
     @pytest.mark.parametrize("e", OTHER_EXPONENTS)
     def test_other_denominators_keep_their_values(self, e):
@@ -497,9 +511,11 @@ class TestClosedFormDenominator:
                 assert rf_eval_exact(f, t) == form_reference(f, t), (e, t)
 
     @pytest.mark.parametrize("e", OTHER_EXPONENTS)
-    def test_other_denominators_take_two_runs(self, e, one_run_only):
+    def test_other_denominators_take_two_runs(self, e, guard):
+        # Both parts run through _form_at.
         for f in other_denominators(e):
-            with pytest.raises(TwoRuns):
+            guard(f.denominator)
+            with pytest.raises(PartSummed):
                 rf_eval_exact(f, 2)
 
     def test_which_coefficients_are_a_binomial_row(self):
@@ -510,8 +526,9 @@ class TestClosedFormDenominator:
         for p in map(Polynomial, others):
             assert p._binomial_exponent is None, p
 
-    def test_pole_message_is_unchanged(self, one_run_only):
+    def test_pole_message_is_unchanged(self, guard):
         for n in (0, 1, 40, 1000):
+            guard(polylog_neg_rf(n).denominator)
             with pytest.raises(ZeroDivisionError, match=r"^pole of rational function at t = -1$"):
                 rf_eval_exact(polylog_neg_rf(n), Fraction(-1))
 
