@@ -186,11 +186,12 @@ def _bfile_lines(f: TextIO, path: str) -> Iterator[str]:
 def _read_bfile(path: str, max_index: int) -> dict[int, int]:
     """The entries of the b-file at path with index <= max_index.
 
-    The whole file is parsed, one block at a time, but only those entries
+    The file is UTF-8, with or without a leading byte-order mark.  The
+    whole file is parsed, one block at a time, but only those entries
     are kept.  A fault of the whole file, a length over the cap or bytes
     that do not decode, is reported ahead of a malformed line before it.
     """
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         lines = _bfile_lines(f, path)
         try:
             return _bfile_entries(lines, max_index)
@@ -570,8 +571,14 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"{shown} is not a rational number") from None
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """Return a new parser with every subcommand; `run` builds one per process."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """Return a new parser with every subcommand, and the subcommand
+    parsers by name; `run` shares one pair per process, through `_parser`.
+
+    Sharing is safe because parsing leaves them unchanged: each call gets a
+    new Namespace, every default is immutable, and the handlers bound by
+    `set_defaults` look up the routes they call each time they run.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("plain", "csv", "json"), default="plain", help="output format"
@@ -618,7 +625,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", type=_fraction, default=None, help="also evaluate exactly at t")
     # argparse reads "-..." as an option unless it looks like a negative
     # integer or decimal; take every "-<digit>" or "-.<digit>" as a value,
-    # so `--at -7/3` and `--at -1e3` need no "=".
+    # so `--at -7/3` and `--at -1e3` need no "=".  This is the one private
+    # argparse attribute bernlab sets.
     p._negative_number_matcher = re.compile(r"^-\.?\d")
     p.set_defaults(handler=_cmd_polylog)
 
@@ -656,21 +664,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-sum", type=_nonneg_int, required=True, dest="max_sum")
     p.set_defaults(handler=_cmd_bench)
 
-    return parser
+    return parser, sub.choices
 
 
-@functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parser every `run` shares, built on the first call, and its
-    subcommand parsers by name (the choices of its subparsers action).
-
-    Sharing is safe because parsing leaves them unchanged: each call gets a
-    new Namespace, every default is immutable, and the handlers bound by
-    `set_defaults` look up the routes they call each time they run.
-    """
-    parser = _build_parser()
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return parser, commands.choices
+_parser = functools.cache(_build_parser)
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
@@ -696,14 +693,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _emit(args.handler(args), args.format)
-    except BenchMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except BrokenPipeError:
         raise
-    except (ValueError, ZeroDivisionError, OSError) as exc:
+    except (BenchMismatchError, ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, BenchMismatchError) else 2
 
 
 def main() -> None:

@@ -92,7 +92,6 @@ def gauss_legendre(nodes: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     ws = [0.0] * nodes
     for i in range(1, nodes // 2 + nodes % 2 + 1):
         x = math.cos(math.pi * (i - 0.25) / (nodes + 0.5))
-        dp = 1.0
         for _ in range(100):
             p, dp = _legendre_value_and_derivative(nodes, x)
             dx = p / dp

@@ -7,6 +7,7 @@ errors.
 """
 
 import argparse
+import codecs
 import csv
 import hashlib
 import io
@@ -1209,6 +1210,32 @@ class TestOeisCheckCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: 'utf-8' codec can't decode byte 0xff in position ")
 
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_byte_order_marked_files_check_as_the_originals(self, capsys, tmp_path, fmt):
+        marked = [tmp_path / "nums.txt", tmp_path / "dens.txt"]
+        for copy, path in zip(marked, (NUMERATORS, DENOMINATORS)):
+            copy.write_bytes(codecs.BOM_UTF8 + Path(path).read_bytes())
+
+        def check(nums, dens):
+            return run_capture(capsys, "oeis-check", "--numerators", str(nums),
+                               "--denominators", str(dens), "--max", "30", "--format", fmt)
+        expected = check(NUMERATORS, DENOMINATORS)
+        assert expected[0] == 0 and expected[2] == ""
+        if fmt == "plain":
+            assert expected[1].endswith("\n31/31 PASS\n")
+        assert check(*marked) == expected
+
+    def test_a_byte_order_mark_after_line_1_is_a_malformed_line(self, capsys, tmp_path):
+        first, rest = Path(NUMERATORS).read_text(encoding="utf-8").split("\n", 1)
+        bad = tmp_path / "nums.txt"
+        bad.write_text(first + "\n\ufeff" + rest, encoding="utf-8")
+        code, out, err = run_capture(
+            capsys, "oeis-check", "--numerators", str(bad),
+            "--denominators", DENOMINATORS, "--max", "3",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 2: expected 'index value', got \"\\ufeff# Fixture ")
+
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB is Linux's")
     def test_near_cap_files_keep_only_the_checked_entries(self, tmp_path):
         # Two files just under the cap with one short line per index: all
@@ -1690,27 +1717,33 @@ class TestSharedParser:
             for c in {cmd, argv[0]} & self.PROBES.keys():
                 assert probe(c) == first_probe[c], (i, c)
 
-    def test_run_builds_the_parser_once(self, capsys, monkeypatch):
-        real = cli._build_parser
-        calls = []
-        monkeypatch.setattr(cli, "_build_parser", lambda: calls.append(1) or real())
+    def test_run_builds_the_parser_once(self, capsys):
         for n in range(20):
             assert run_capture(capsys, "bernoulli", str(n % 5))[0] == 0
-        assert len(calls) == 1
+        assert cli._parser.cache_info().misses == 1
 
     def test_import_builds_no_parser(self):
         proc = run_code("import bernlab.cli as c; print(c._parser.cache_info().currsize)")
         assert (proc.returncode, proc.stdout) == (0, "0\n")
 
     def test_build_parser_returns_a_new_parser(self):
-        assert cli._build_parser() is not cli._build_parser()
+        assert cli._build_parser()[0] is not cli._build_parser()[0]
+
+    def test_build_parser_maps_the_subcommands_in_registration_order(self):
+        assert list(cli._build_parser()[1]) == [
+            "bernoulli", "stirling", "table", "identity", "polylog",
+            "verify-integral", "beta-check", "oeis-check", "bench",
+        ]
+
+    def test_parser_returns_one_shared_pair(self):
+        assert cli._parser() is cli._parser()
 
 
 def reference_run(argv):
     """`run` with one full parse by a new top-level parser, which hands the
     words after the subcommand name to that subcommand's parser itself."""
     try:
-        args = cli._build_parser().parse_args(argv)
+        args = cli._build_parser()[0].parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
