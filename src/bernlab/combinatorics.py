@@ -62,10 +62,12 @@ class StirlingTriangle:
 
     The rows _kept names stay, and the top one, from which growth
     continues; any other row is regrown on each read from the nearest
-    stored row below it.  Rows are appended under an internal lock, so
-    one shared instance can be extended from several threads; a row,
-    once computed, is never mutated (a dropped row's slot is cleared to
-    None), and reads of kept rows are plain list indexing.
+    stored row below it.  Every read goes through _row, which refuses
+    n < 0 and grows the triangle to n through extend_to first.  Rows are
+    appended under an internal lock, so one shared instance can be
+    extended from several threads; a row, once computed, is never
+    mutated (a dropped row's slot is cleared to None), and reads of kept
+    rows are plain list indexing.
     """
 
     def __init__(self):
@@ -86,7 +88,11 @@ class StirlingTriangle:
                     rows[-2] = None
 
     def _row(self, n: int) -> list[int]:
-        """Row n, grown already: the stored list itself or a regrown one."""
+        """Row n: the stored list itself or one regrown from the nearest
+        stored row below it."""
+        if n < 0:
+            raise ValueError(f"Stirling numbers need n >= 0, got n={n}")
+        self.extend_to(n)
         base = n
         while (row := self._rows[base]) is None:
             base -= 1
@@ -94,19 +100,8 @@ class StirlingTriangle:
             row = _next_row(row)
         return row
 
-    def value(self, n: int, k: int) -> int:
-        if n < 0:
-            raise ValueError(f"Stirling numbers need n >= 0, got n={n}")
-        if k < 0 or k > n:
-            return 0
-        self.extend_to(n)
-        return self._row(n)[k]
-
     def row(self, n: int) -> list[int]:
         """[S(n, 0), ..., S(n, n)] as a fresh list."""
-        if n < 0:
-            raise ValueError(f"Stirling numbers need n >= 0, got n={n}")
-        self.extend_to(n)
         return list(self._row(n))
 
 
@@ -114,8 +109,11 @@ _SHARED = StirlingTriangle()
 
 
 def stirling2(n: int, k: int) -> int:
-    """S(n, k) from the shared memoized triangle."""
-    return _SHARED.value(n, k)
+    """S(n, k) from the shared memoized triangle; 0 for n >= 0 and k
+    outside 0..n, without growing a row."""
+    if n >= 0 and not 0 <= k <= n:
+        return 0
+    return _SHARED._row(n)[k]
 
 
 def stirling2_row(n: int) -> list[int]:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from bernlab import combinatorics
 from bernlab.cli import MAX_SIZE
 from bernlab.combinatorics import (
     BRUTE_FORCE_MAX_N,
@@ -57,8 +58,15 @@ class TestStirling2:
         assert tri.max_n == 4
         tri.extend_to(2)
         assert tri.max_n == 4  # never shrinks
-        assert tri.value(9, 3) == stirling2(9, 3)
+        assert tri.row(9)[3] == stirling2(9, 3)
         assert tri.max_n == 9
+
+    def test_a_zero_outside_the_row_grows_nothing(self, monkeypatch):
+        monkeypatch.setattr(combinatorics, "_SHARED", StirlingTriangle())
+        assert stirling2(1000, 1001) == stirling2(1000, -1) == 0
+        assert combinatorics._SHARED.max_n == 0
+        with pytest.raises(ValueError, match="n=-1"):
+            stirling2(-1, 5)
 
 
 def reference_rows(top):
@@ -113,11 +121,13 @@ class TestKeptRows:
         row[1] = -1
         assert full_triangle.row(301) == reference[301]
 
-    def test_values_on_dropped_rows(self, full_triangle, reference):
+    def test_values_on_dropped_rows(self, full_triangle, reference, monkeypatch):
+        monkeypatch.setattr(combinatorics, "_SHARED", full_triangle)
         for n, k in [(301, 1), (303, 150), (319, 319), (500, 250), (991, 7), (999, 500), (999, 998)]:
-            assert full_triangle.value(n, k) == reference[n][k], (n, k)
-        assert full_triangle.value(999, 1000) == full_triangle.value(999, -1) == 0
-        assert StirlingTriangle().value(455, 200) == reference[455][200]
+            assert stirling2(n, k) == reference[n][k], (n, k)
+        assert stirling2(999, 1000) == stirling2(999, -1) == 0
+        monkeypatch.setattr(combinatorics, "_SHARED", StirlingTriangle())
+        assert stirling2(455, 200) == reference[455][200]
 
     def test_reading_a_dropped_row_still_grows_through_extend_to(self, monkeypatch):
         # test_routes.py cuts the triangle off at extend_to; a row that is
@@ -129,10 +139,11 @@ class TestKeptRows:
             raise AssertionError("extend_to was called")
 
         monkeypatch.setattr(StirlingTriangle, "extend_to", refuse)
+        monkeypatch.setattr(combinatorics, "_SHARED", tri)
         with pytest.raises(AssertionError):
             tri.row(350)
         with pytest.raises(AssertionError):
-            tri.value(350, 3)
+            stirling2(350, 3)
 
     def test_threads_reading_shuffled_rows_of_one_triangle(self, reference):
         tri = StirlingTriangle()
